@@ -158,7 +158,7 @@ def main() -> int:
     epochs = args.epochs or (6 if args.quick else 10)
     spec = CampaignSpec(
         budget=budget,
-        scan_config=ScanConfig(use_batched=True, batch_size=BATCH_SIZE),
+        scan_config=ScanConfig(batch_size=BATCH_SIZE),
     )
     print(f"world scale={scale}, budget={budget}/prefix, "
           f"{epochs} churn epochs (seed {CHURN_SEED})")

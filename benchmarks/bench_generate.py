@@ -40,7 +40,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import experiments as ex  # noqa: E402
-from repro.analysis.grouping import MultiPrefixRun, run_per_prefix  # noqa: E402
+from repro.analysis.grouping import MultiPrefixRun  # noqa: E402
+from repro.campaign.generate import generate_per_prefix  # noqa: E402
 from repro.ipv6.addrplane import (  # noqa: E402
     ColumnDeduper,
     concat_columns,
@@ -68,7 +69,7 @@ DEFAULT_OUT = REPO_ROOT / "benchmarks" / "results" / "BENCH_generate.json"
 def fit_runs() -> MultiPrefixRun:
     """The shared clustering fit every timed path starts from."""
     context = ex.standard_context(SCALE)
-    return run_per_prefix(context.groups, BUDGET)
+    return generate_per_prefix(context.groups, BUDGET)
 
 
 def select_prefixes(run: MultiPrefixRun, n: int) -> list:
@@ -156,7 +157,7 @@ def check_gen_workers(telemetry: Telemetry = NULL_TELEMETRY) -> dict:
     groups = {p: context.groups[p] for p in sorted(context.groups)[:16]}
 
     def full(gen_workers):
-        run = run_per_prefix(groups, 2_000, processes=gen_workers)
+        run = generate_per_prefix(groups, 2_000, processes=gen_workers)
         scanner = Scanner(
             context.internet.truth, config=ScanConfig(), rng_seed=RNG_SEED,
         )

@@ -11,8 +11,9 @@ Runs the same deterministic campaign three ways:
 The gate fails (exit 1) unless the resumed run's hits and stats are
 *bit-identical* to the uninterrupted baseline — the checkpoint/resume
 contract documented in ``docs/fault_tolerance.md``.  Crash points are
-swept across round-0 batches and a retry round, at one and two workers,
-so both the in-process and pool merge paths are covered.
+swept across round-0 batches and the retry rounds, at a small and a
+large batch size, so resume is checked at both ends of the step
+granularity.
 
 Standalone script, not a pytest benchmark — CI runs it with ``--quick``
 and fails the build on any divergence:
@@ -32,6 +33,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import experiments as ex  # noqa: E402
+from repro.campaign.generate import generate_per_prefix  # noqa: E402
 from repro.faults import InjectedWorkerCrash, WorkerCrash  # noqa: E402
 from repro.scanner.checkpoint import (  # noqa: E402
     ScanCheckpointer,
@@ -44,43 +46,39 @@ SCALE = 0.2
 BUDGET = 10_000
 RNG_SEED = 5
 LOSS_RATE = 0.2
-BATCH_SIZE = 256
+BATCH_SIZES = (32, 4096)
 RETRIES = 2
 
 
 def build_campaign():
     """Deterministic truth + target pool from the standard 6Gen run."""
     context = ex.standard_context(SCALE)
-    from repro.analysis.grouping import run_per_prefix
-
-    run = run_per_prefix(context.groups, BUDGET)
+    run = generate_per_prefix(context.groups, BUDGET)
     targets = list(dict.fromkeys(run.iter_targets()))
     return context.internet.truth, targets
 
 
-def scan_once(truth, targets, workers, *, checkpoint=None, resume=None,
+def scan_once(truth, targets, batch_size, *, checkpoint=None, resume=None,
               crash=None):
     scanner = Scanner(
         truth, loss_rate=LOSS_RATE, rng_seed=RNG_SEED,
-        config=ScanConfig(
-            batch_size=BATCH_SIZE, workers=workers, retries=RETRIES
-        ),
+        config=ScanConfig(batch_size=batch_size, retries=RETRIES),
     )
     return scanner.scan(
         targets, checkpoint=checkpoint, resume=resume, crash=crash
     )
 
 
-def run_case(truth, targets, workers, crash, workdir) -> dict:
+def run_case(truth, targets, batch_size, crash, workdir, baseline) -> dict:
     """One crash/resume cycle; returns the parity verdict."""
-    baseline = scan_once(truth, targets, workers)
-
-    path = workdir / f"ckpt_w{workers}_r{crash.at_round}_b{crash.at_batch}.jsonl"
+    path = (
+        workdir / f"ckpt_s{batch_size}_r{crash.at_round}_b{crash.at_batch}.jsonl"
+    )
     sink = JsonlSink(path)
     crashed = False
     try:
         scan_once(
-            truth, targets, workers,
+            truth, targets, batch_size,
             checkpoint=ScanCheckpointer(sink, every_batches=2), crash=crash,
         )
     except InjectedWorkerCrash:
@@ -92,14 +90,14 @@ def run_case(truth, targets, workers, crash, workdir) -> dict:
     sink = JsonlSink(path)
     try:
         resumed = scan_once(
-            truth, targets, workers,
+            truth, targets, batch_size,
             checkpoint=ScanCheckpointer(sink, every_batches=2), resume=state,
         )
     finally:
         sink.close()
 
     return {
-        "workers": workers,
+        "batch_size": batch_size,
         "crash_round": crash.at_round,
         "crash_batch": crash.at_batch,
         "crashed": crashed,
@@ -125,39 +123,39 @@ def main() -> int:
     args = parser.parse_args()
 
     truth, targets = build_campaign()
-    n_batches = (len(targets) + BATCH_SIZE - 1) // BATCH_SIZE
-    print(f"campaign: {len(targets)} targets, {n_batches} round-0 batches")
-
-    if args.quick:
-        crashes = [
-            WorkerCrash(at_batch=max(1, n_batches // 2)),
-            WorkerCrash(at_batch=0, at_round=1),
-        ]
-        worker_counts = (1, 2)
-    else:
-        crashes = [
-            WorkerCrash(at_batch=1),
-            WorkerCrash(at_batch=max(1, n_batches // 2)),
-            WorkerCrash(at_batch=max(1, n_batches - 1)),
-            WorkerCrash(at_batch=0, at_round=1),
-            WorkerCrash(at_batch=0, at_round=RETRIES),
-        ]
-        worker_counts = (1, 2)
+    print(f"campaign: {len(targets)} targets")
 
     cases = []
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
-        for workers in worker_counts:
+        for batch_size in BATCH_SIZES:
+            n_batches = (len(targets) + batch_size - 1) // batch_size
+            if args.quick:
+                crashes = [
+                    WorkerCrash(at_batch=max(1, n_batches // 2)),
+                    WorkerCrash(at_batch=0, at_round=1),
+                ]
+            else:
+                crashes = [
+                    WorkerCrash(at_batch=1),
+                    WorkerCrash(at_batch=max(1, n_batches // 2)),
+                    WorkerCrash(at_batch=max(1, n_batches - 1)),
+                    WorkerCrash(at_batch=0, at_round=1),
+                    WorkerCrash(at_batch=0, at_round=RETRIES),
+                ]
+            baseline = scan_once(truth, targets, batch_size)
             for crash in crashes:
-                case = run_case(truth, targets, workers, crash, workdir)
+                case = run_case(
+                    truth, targets, batch_size, crash, workdir, baseline
+                )
                 cases.append(case)
                 ok = case["crashed"] and case["hits_match"] and case["stats_match"]
                 if not ok:
                     failures += 1
                 print(
-                    f"  workers={workers} crash=({crash.at_round},"
-                    f"{crash.at_batch:>3}) resumed_from=({case['resumed_from_round']},"
+                    f"  batch_size={batch_size} crash=({crash.at_round},"
+                    f"{crash.at_batch:>4}) resumed_from=({case['resumed_from_round']},"
                     f"{case['resumed_from_batch']}) "
                     f"hits={case['resumed_hits']}/{case['baseline_hits']} "
                     f"{'OK' if ok else 'DIVERGED'}"

@@ -1,24 +1,23 @@
-"""Scan-pipeline benchmark: array plane vs object path vs reference.
+"""Scan-pipeline benchmark: the array plane against the reference loop.
 
 Builds one target pool from the standard per-prefix 6Gen run, then
 scans growing tiers of it with (a) the sequential per-address reference
-path, (b) the batched *object* path (``use_arrays=False`` — Python-int
-batches through the list[bool] lookups), and (c) the batched *array*
-plane (packed uint64 hi/lo columns, vectorised lookups), verifying on
-every tier that all paths produce identical hits *and* identical
-``ScanStats`` — the parity contract the engine promises for a fixed
-``rng_seed``.  A lossy tier exercises the order-independent loss PRF,
-and a multi-worker run checks that shared-memory process sharding
-reproduces the reference hit set.  Medians and speedups land in
+loop (``Scanner._scan_reference``, the test-only oracle) and (b) the
+production scan (``Scanner.scan`` — packed uint64 hi/lo columns,
+vectorised lookups on the array plane), verifying on every tier that
+both produce identical hits *and* identical ``ScanStats`` — the parity
+contract the engine promises for a fixed ``rng_seed``.  A lossy tier
+exercises the order-independent loss PRF and a retries tier the retry
+rounds.  Medians and speedups land in
 ``benchmarks/results/BENCH_scan.json`` (see docs/performance.md for
 how to read the tiers).
 
 Standalone script, not a pytest benchmark — CI runs it with ``--quick``
 and fails the build if the paths ever diverge, and the ``scan-speedup``
-job additionally gates on ``--min-array-speedup``:
+job additionally gates on ``--min-reference-speedup``:
 
     python benchmarks/bench_scan.py [--quick] [--out BENCH_scan.json]
-                                    [--min-array-speedup X.Y]
+                                    [--min-reference-speedup X.Y]
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import experiments as ex  # noqa: E402
-from repro.analysis.grouping import run_per_prefix  # noqa: E402
+from repro.campaign.generate import generate_per_prefix  # noqa: E402
 from repro.scanner.blacklist import Blacklist  # noqa: E402
 from repro.scanner.engine import ScanConfig, Scanner  # noqa: E402
 from repro.ipv6.prefix import Prefix  # noqa: E402
@@ -50,6 +49,9 @@ QUICK_TIERS = (10_000, 50_000)
 BUDGET = 20_000
 SCALE = 0.3
 RNG_SEED = 5
+#: Loss rate of the lossy and retries tiers; retry rounds of the latter.
+LOSS_RATE = 0.2
+RETRIES = 2
 
 DEFAULT_OUT = REPO_ROOT / "benchmarks" / "results" / "BENCH_scan.json"
 
@@ -57,7 +59,7 @@ DEFAULT_OUT = REPO_ROOT / "benchmarks" / "results" / "BENCH_scan.json"
 def build_pool(limit: int) -> list[int]:
     """Target pool from the standard 6Gen run (streamed, deterministic)."""
     context = ex.standard_context(SCALE)
-    run = run_per_prefix(context.groups, BUDGET)
+    run = generate_per_prefix(context.groups, BUDGET)
     pool: list[int] = []
     seen: set[int] = set()
     for target in run.iter_targets():
@@ -79,79 +81,43 @@ def make_blacklist(pool: list[int]) -> Blacklist:
 
 def bench_tier(
     truth, blacklist: Blacklist, pool: list[int], n: int,
-    repeats: int, loss_rate: float, telemetry: Telemetry = NULL_TELEMETRY,
+    repeats: int, loss_rate: float, retries: int = 0,
+    telemetry: Telemetry = NULL_TELEMETRY,
 ) -> dict:
     targets = pool[:n]
-    configs = {
-        "reference": ScanConfig(use_batched=False),
-        "object": ScanConfig(use_arrays=False),
-        "arrays": ScanConfig(),
-    }
-    timings: dict[str, list[float]] = {name: [] for name in configs}
+    config = ScanConfig(retries=retries)
+    reference_s: list[float] = []
+    plane_s: list[float] = []
     identical = True
     for _ in range(repeats):
-        results = {}
-        for name, config in configs.items():
-            # Only the array (production) path is instrumented, so the
-            # JSONL records one pipeline's counters per tier run.
-            scanner = Scanner(
+        # Only the production path is instrumented, so the JSONL
+        # records one pipeline's counters per tier run.
+        oracle, scanner = (
+            Scanner(
                 truth, blacklist=blacklist, loss_rate=loss_rate,
-                rng_seed=RNG_SEED, config=config,
-                telemetry=telemetry if name == "arrays" else None,
+                rng_seed=RNG_SEED, config=config, telemetry=tele,
             )
-            results[name], elapsed = time_call(lambda s=scanner: s.scan(targets))
-            timings[name].append(elapsed)
-        for name in ("object", "arrays"):
-            if (
-                results[name].hits != results["reference"].hits
-                or results[name].stats != results["reference"].stats
-            ):
-                identical = False
-    baseline = statistics.median(timings["reference"])
-    object_path = statistics.median(timings["object"])
-    arrays = statistics.median(timings["arrays"])
+            for tele in (None, telemetry)
+        )
+        reference, elapsed = time_call(
+            lambda: oracle._scan_reference(targets)
+        )
+        reference_s.append(elapsed)
+        plane, elapsed = time_call(lambda: scanner.scan(targets))
+        plane_s.append(elapsed)
+        if plane.hits != reference.hits or plane.stats != reference.stats:
+            identical = False
+    reference_median = statistics.median(reference_s)
+    plane_median = statistics.median(plane_s)
     return {
         "targets": n,
         "loss_rate": loss_rate,
-        "baseline_median_s": round(baseline, 4),
-        "batched_median_s": round(object_path, 4),
-        "arrays_median_s": round(arrays, 4),
-        "speedup": round(baseline / object_path, 2) if object_path else None,
-        "arrays_speedup": round(baseline / arrays, 2) if arrays else None,
-        "arrays_over_batched": round(object_path / arrays, 2) if arrays else None,
-        "identical": identical,
-    }
-
-
-def check_workers(
-    truth, blacklist: Blacklist, pool: list[int],
-    telemetry: Telemetry = NULL_TELEMETRY,
-) -> dict:
-    """Multi-worker scans must reproduce the reference hit set and stats."""
-    targets = pool[: min(len(pool), 100_000)]
-    reference = Scanner(
-        truth, blacklist=blacklist, loss_rate=0.1, rng_seed=RNG_SEED,
-        config=ScanConfig(use_batched=False),
-    ).scan(targets)
-    object_scanner = Scanner(
-        truth, blacklist=blacklist, loss_rate=0.1, rng_seed=RNG_SEED,
-        config=ScanConfig(workers=2, use_arrays=False),
-    )
-    object_pooled, object_s = time_call(lambda: object_scanner.scan(targets))
-    arrays_scanner = Scanner(
-        truth, blacklist=blacklist, loss_rate=0.1, rng_seed=RNG_SEED,
-        config=ScanConfig(workers=2), telemetry=telemetry,
-    )
-    arrays_pooled, arrays_s = time_call(lambda: arrays_scanner.scan(targets))
-    identical = all(
-        pooled.hits == reference.hits and pooled.stats == reference.stats
-        for pooled in (object_pooled, arrays_pooled)
-    )
-    return {
-        "targets": len(targets),
-        "workers": 2,
-        "pool_s": round(object_s, 4),
-        "arrays_pool_s": round(arrays_s, 4),
+        "retries": retries,
+        "reference_median_s": round(reference_median, 4),
+        "plane_median_s": round(plane_median, 4),
+        "speedup": (
+            round(reference_median / plane_median, 2) if plane_median else None
+        ),
         "identical": identical,
     }
 
@@ -170,10 +136,10 @@ def main(argv: list[str] | None = None) -> int:
         help="output JSON path (default: benchmarks/results/BENCH_scan.json)",
     )
     parser.add_argument(
-        "--min-array-speedup",
+        "--min-reference-speedup",
         type=float,
         metavar="X.Y",
-        help="fail unless the array plane beats the object path by at "
+        help="fail unless the array plane beats the reference loop by at "
              "least this factor on the largest lossless tier (CI "
              "scan-speedup gate)",
     )
@@ -182,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         type=pathlib.Path,
         metavar="FILE",
         help="also append a telemetry JSONL (manifest + per-tier events + "
-             "scan metrics) for the array path",
+             "scan metrics) for the production path",
     )
     args = parser.parse_args(argv)
     if not args.out.parent.is_dir():
@@ -205,70 +171,54 @@ def main(argv: list[str] | None = None) -> int:
     blacklist = make_blacklist(pool)
     truth = ex.standard_context(SCALE).internet.truth
 
+    # The lossless ladder first (the gate reads its last row), then one
+    # lossy tier (the loss PRF must stay order-independent) and one
+    # retries tier (the retry rounds must match the reference's).
+    plan = [(n, 0.0, 0) for n in tiers]
+    plan += [(tiers[0], LOSS_RATE, 0), (tiers[0], LOSS_RATE, RETRIES)]
     rows = []
-    for n in tiers:
-        row = bench_tier(truth, blacklist, pool, n, repeats, 0.0, telemetry)
+    for n, loss_rate, retries in plan:
+        row = bench_tier(
+            truth, blacklist, pool, n, repeats, loss_rate, retries, telemetry
+        )
         rows.append(row)
         telemetry.event("progress", {"stage": "bench_tier", **row})
         print(
-            f"targets={row['targets']:>7}  baseline={row['baseline_median_s']:.3f}s  "
-            f"object={row['batched_median_s']:.3f}s  "
-            f"arrays={row['arrays_median_s']:.3f}s  "
-            f"arrays_speedup={row['arrays_speedup']}x  "
-            f"arrays_over_batched={row['arrays_over_batched']}x  "
-            f"identical={row['identical']}"
+            f"targets={row['targets']:>7}  loss={loss_rate}  "
+            f"retries={retries}  "
+            f"reference={row['reference_median_s']:.3f}s  "
+            f"plane={row['plane_median_s']:.3f}s  "
+            f"speedup={row['speedup']}x  identical={row['identical']}"
         )
-    # One lossy tier: the loss PRF must stay order-independent.
-    lossy = bench_tier(truth, blacklist, pool, tiers[0], repeats, 0.2, telemetry)
-    rows.append(lossy)
-    telemetry.event("progress", {"stage": "bench_tier", **lossy})
-    print(
-        f"targets={lossy['targets']:>7}  loss=0.2  "
-        f"baseline={lossy['baseline_median_s']:.3f}s  "
-        f"object={lossy['batched_median_s']:.3f}s  "
-        f"arrays={lossy['arrays_median_s']:.3f}s  "
-        f"identical={lossy['identical']}"
-    )
-    workers = check_workers(truth, blacklist, pool, telemetry)
-    telemetry.event("progress", {"stage": "workers_check", **workers})
-    print(
-        f"workers={workers['workers']}  targets={workers['targets']}  "
-        f"object_pool={workers['pool_s']:.3f}s  "
-        f"arrays_pool={workers['arrays_pool_s']:.3f}s  "
-        f"identical={workers['identical']}"
-    )
     telemetry.close()
 
     payload = {
-        "benchmark": "scan_batched_pipeline",
+        "benchmark": "scan_plane_vs_reference",
         "scale": SCALE,
         "budget": BUDGET,
         "rng_seed": RNG_SEED,
         "repeats": repeats,
         "quick": args.quick,
         "tiers": rows,
-        "workers_check": workers,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
 
-    if not all(row["identical"] for row in rows) or not workers["identical"]:
-        print("DIVERGENCE: batched scan output differs from reference")
+    if not all(row["identical"] for row in rows):
+        print("DIVERGENCE: array-plane scan output differs from reference")
         return 1
-    if args.min_array_speedup is not None:
-        # Gate on the largest lossless tier (the first rows are the
-        # lossless ladder; the lossy tier is appended after them).
+    if args.min_reference_speedup is not None:
         gate_row = rows[len(tiers) - 1]
-        measured = gate_row["arrays_over_batched"]
-        if measured is None or measured < args.min_array_speedup:
+        measured = gate_row["speedup"]
+        if measured is None or measured < args.min_reference_speedup:
             print(
-                f"SPEEDUP GATE FAILED: arrays over object path "
-                f"{measured}x < {args.min_array_speedup}x "
+                f"SPEEDUP GATE FAILED: plane over reference "
+                f"{measured}x < {args.min_reference_speedup}x "
                 f"at {gate_row['targets']} targets"
             )
             return 1
         print(
-            f"speedup gate OK: {measured}x >= {args.min_array_speedup}x "
+            f"speedup gate OK: {measured}x >= {args.min_reference_speedup}x "
             f"at {gate_row['targets']} targets"
         )
     return 0

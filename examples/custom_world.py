@@ -16,7 +16,7 @@ Run:  python examples/custom_world.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis.grouping import run_per_prefix
+from repro.campaign.generate import generate_per_prefix
 from repro.core.sixgen import run_6gen
 from repro.ipv6.prefix import Prefix
 from repro.scanner.dealias import dealias
@@ -96,7 +96,7 @@ def main() -> None:
     # Full pipeline against the custom world.
     seeds = collect_seeds(internet, rng_seed=3)
     groups = group_by_routed_prefix(seeds.addresses(), internet.bgp)
-    run = run_per_prefix(groups, budget=2000)
+    run = generate_per_prefix(groups, budget=2000)
     scanner = Scanner(internet.truth)
     scan = scanner.scan(run.all_targets())
     report = dealias(scan.hits, scanner, internet.bgp)

@@ -49,7 +49,7 @@ def main() -> None:
     groups = group_by_routed_prefix(seeds.addresses(), internet.bgp)
     spec = CampaignSpec(
         budget=budget,
-        scan_config=ScanConfig(use_batched=True, batch_size=256),
+        scan_config=ScanConfig(batch_size=256),
     )
     print(f"  {len(groups)} seed prefixes, "
           f"{internet.truth.host_count(80)} active hosts")

@@ -8,7 +8,6 @@ the §7.1 methodology; ``grouping`` the per-routed-prefix 6Gen runs.
 from .grouping import (
     MultiPrefixRun,
     PrefixRun,
-    run_per_prefix,
     seed_proportional_budget,
     static_budget,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "inverse_kfold",
     "quantiles",
     "render_svg",
-    "run_per_prefix",
     "save_svg",
     "scan_report",
     "seed_proportional_budget",

@@ -31,7 +31,8 @@ from .experiments import (
     run_full_scan,
     standard_context,
 )
-from .grouping import run_per_prefix, seed_proportional_budget
+from ..campaign.generate import generate_per_prefix
+from .grouping import seed_proportional_budget
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,7 @@ def cross_protocol_experiment(
         a for a in context.seed_addresses if truth.is_responsive(a, seed_port)
     ]
     groups = group_by_routed_prefix(seeds, context.internet.bgp)
-    run = run_per_prefix(groups, budget)
+    run = generate_per_prefix(groups, budget)
     scanner = Scanner(truth)
     scan = scanner.scan(run.all_targets(), port=target_port)
     report = dealias(scan.hits, scanner, context.internet.bgp, port=target_port)
@@ -309,11 +310,11 @@ def budget_allocation_experiment(
     for policy_name, run in (
         (
             "static",
-            run_per_prefix(groups, budget_per_prefix),
+            generate_per_prefix(groups, budget_per_prefix),
         ),
         (
             "seed-proportional",
-            run_per_prefix(
+            generate_per_prefix(
                 groups, per_seed, budget_policy=seed_proportional_budget
             ),
         ),

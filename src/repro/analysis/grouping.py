@@ -8,20 +8,18 @@ the §8 future-work exploration (seed-proportional and size-aware
 allocation).
 
 The data types (budget policies, :class:`PrefixRun`,
-:class:`MultiPrefixRun`) live here; the execution engine behind
-:func:`run_per_prefix` moved to :mod:`repro.campaign.generate` as the
-campaign pipeline's generation stage — this module keeps the public
-entry point as a thin delegate.
+:class:`MultiPrefixRun`) live here; the execution engine is
+:func:`repro.campaign.generate.generate_per_prefix`, the campaign
+pipeline's generation stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ..core.sixgen import SixGenResult
 from ..ipv6.prefix import Prefix
-from ..telemetry.spans import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -129,43 +127,3 @@ class MultiPrefixRun:
 
     def total_seed_count(self) -> int:
         return sum(len(run.seeds) for run in self.runs.values())
-
-
-def run_per_prefix(
-    groups: Mapping[Prefix, Sequence[int]],
-    budget: int,
-    *,
-    loose: bool = True,
-    ledger: str = "exact",
-    budget_policy: BudgetPolicy = static_budget,
-    min_seeds: int = 1,
-    rng_seed: int | None = 0,
-    processes: int | None = None,
-    telemetry: Telemetry | None = None,
-    isolate_failures: bool = True,
-    progress_sink=None,
-) -> MultiPrefixRun:
-    """Run 6Gen on every routed prefix's seed group.
-
-    Thin wrapper over the campaign layer's generation stage,
-    :func:`repro.campaign.generate.generate_per_prefix` — see there for
-    the full semantics (budget policies, process-pool execution,
-    telemetry, failure isolation, progress events).  Kept here so the
-    long-standing ``analysis``-level entry point and its signature stay
-    stable.
-    """
-    from ..campaign.generate import generate_per_prefix
-
-    return generate_per_prefix(
-        groups,
-        budget,
-        loose=loose,
-        ledger=ledger,
-        budget_policy=budget_policy,
-        min_seeds=min_seeds,
-        rng_seed=rng_seed,
-        processes=processes,
-        telemetry=telemetry,
-        isolate_failures=isolate_failures,
-        progress_sink=progress_sink,
-    )

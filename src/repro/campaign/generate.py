@@ -1,18 +1,16 @@
 """The campaign's generation stage: per-prefix 6Gen over a process pool.
 
-This is the implementation behind
-:func:`repro.analysis.grouping.run_per_prefix` (which stays as the
-public thin wrapper, with the data types): run 6Gen on every routed
-prefix's seed group, serially or across a process pool, with failure
-isolation and per-prefix progress events.  The campaign pipeline calls
-it directly as its first stage; targets leave as packed ``(hi, lo)``
-column chunks per prefix, never as a materialised union.
+Run 6Gen on every routed prefix's seed group, serially or across a
+process pool, with failure isolation and per-prefix progress events
+(the data types live in :mod:`repro.analysis.grouping`).  The campaign
+pipeline calls it directly as its first stage; targets leave as packed
+``(hi, lo)`` column chunks per prefix, never as a materialised union.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..core.sixgen import SixGenResult, run_6gen
 from ..ipv6.prefix import Prefix
@@ -24,70 +22,27 @@ from ..analysis.grouping import (
     static_budget,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
-
-
-def _run_one(
-    args: tuple[Prefix, list[int], int, bool, str, int | None],
-) -> tuple[Prefix, list[int], int, SixGenResult]:
-    """Worker for process-pool execution (must be module-level to pickle)."""
-    prefix, seeds, prefix_budget, loose, ledger, rng_seed = args
-    result = run_6gen(
-        seeds, prefix_budget, loose=loose, ledger=ledger, rng_seed=rng_seed
-    )
-    return prefix, seeds, prefix_budget, result
-
-
-#: Below this many column bytes a worker ships arrays in the result
-#: pickle directly; above it, through a shared-memory segment (two raw
-#: uint64 buffers copy through shm far cheaper than pickling them into
-#: the executor's result pipe).
-_COLUMN_SHM_MIN_BYTES = 1 << 16
-
 
 def _run_one_columns(
     args: tuple[Prefix, list[int], int, bool, str, int | None],
-) -> tuple[Prefix, list[int], int, SixGenResult, tuple]:
-    """Pool worker that also materialises packed target columns.
+) -> tuple[Prefix, list[int], int, SixGenResult]:
+    """Pool worker: run 6Gen and materialise the packed target columns.
 
     The expensive part of a prefix run after clustering — expanding the
     winning ranges into concrete addresses — happens *here*, in the
     worker, so it parallelises with the other prefixes instead of
     serialising in the parent.  The result is stripped of its boxed-int
-    target set before pickling (the columns are the targets), and the
-    columns travel back through the PR 6 shared-memory transport in the
-    reverse direction (:func:`~repro.scanner.shm.publish_arrays`) when
-    large, or inline in the result pickle when small.
+    target set before pickling; the columns (two raw uint64 buffers,
+    about 160 KB per prefix at a 10 k budget) ride back in the result
+    pickle.
     """
-    from ..scanner.shm import publish_arrays
-
     prefix, seeds, prefix_budget, loose, ledger, rng_seed = args
     result = run_6gen(
         seeds, prefix_budget, loose=loose, ledger=ledger, rng_seed=rng_seed
     )
-    hi, lo = result.target_columns_by_density()
+    result.target_columns_by_density()  # cached on the result
     result._targets = None
-    result._columns = None
-    if hi.nbytes + lo.nbytes >= _COLUMN_SHM_MIN_BYTES:
-        try:
-            spec = publish_arrays({"hi": hi, "lo": lo})
-        except OSError:  # pragma: no cover - /dev/shm unavailable
-            pass
-        else:
-            return prefix, seeds, prefix_budget, result, ("shm", spec)
-    return prefix, seeds, prefix_budget, result, ("raw", hi, lo)
-
-
-def _adopt_columns(result: SixGenResult, payload: tuple) -> None:
-    """Parent-side: reattach a worker's shipped columns to its result."""
-    if payload[0] == "shm":
-        from ..scanner.shm import consume_arrays
-
-        arrays = consume_arrays(payload[1])
-        result._columns = (arrays["hi"], arrays["lo"])
-    else:
-        result._columns = (payload[1], payload[2])
+    return prefix, seeds, prefix_budget, result
 
 
 def generate_per_prefix(
@@ -165,9 +120,7 @@ def generate_per_prefix(
                 ]
                 for item, future in futures:
                     try:
-                        prefix, seeds, prefix_budget, result, payload = (
-                            future.result()
-                        )
+                        prefix, seeds, prefix_budget, result = future.result()
                     except Exception:
                         if not isolate_failures:
                             raise
@@ -176,7 +129,7 @@ def generate_per_prefix(
                         # would have produced.
                         tele.count("generate.prefix_retries")
                         try:
-                            prefix, seeds, prefix_budget, result, payload = (
+                            prefix, seeds, prefix_budget, result = (
                                 _run_one_columns(item)
                             )
                         except Exception as exc2:
@@ -185,7 +138,6 @@ def generate_per_prefix(
                                 progress_sink,
                             )
                             continue
-                    _adopt_columns(result, payload)
                     out.runs[prefix] = PrefixRun(
                         prefix=prefix, seeds=seeds, budget=prefix_budget,
                         result=result,

@@ -8,20 +8,14 @@ ordering + budgeted probing with retry rounds
 (:mod:`repro.scanner.checkpoint`), and §6.2 dealiasing
 (:mod:`repro.scanner.dealias`).
 
-Two ways to drive it:
-
-* :meth:`Campaign.run` — the monolithic path.  This is exactly the
-  body the old ``run_full_scan`` executed (same calls, same order,
-  same telemetry), so results are bit-identical to the pre-refactor
-  pipeline at any worker count; ``run_full_scan`` is now a thin
-  wrapper over it.
-* :meth:`Campaign.begin` / :meth:`step` / :meth:`finish` — the
-  stepwise path, built on :class:`~repro.scanner.execution.ScanExecution`.
-  Each ``step()`` probes one batch; a scheduler (the multi-tenant
-  service in :mod:`repro.service`) interleaves steps of many campaigns
-  over one process.  Because every probe verdict is a pure function of
-  ``(key, address, attempt)``, interleaving never changes what any one
-  campaign observes.
+It is driven stepwise: :meth:`Campaign.begin` / :meth:`step` /
+:meth:`finish`, built on :class:`~repro.scanner.execution.ScanExecution`.
+Each ``step()`` probes one batch; a scheduler (the multi-tenant service
+in :mod:`repro.service`) interleaves steps of many campaigns over one
+process.  Because every probe verdict is a pure function of ``(key,
+address, attempt)``, interleaving never changes what any one campaign
+observes.  :meth:`Campaign.run` — what ``run_full_scan`` wraps — is
+just that loop run to completion.
 """
 
 from __future__ import annotations
@@ -62,10 +56,11 @@ class CampaignSpec:
     """What to run: the knobs of one campaign, minus the world it runs in.
 
     ``budget`` is the per-prefix probe budget (the paper's 1 M,
-    simulation-scaled).  ``scan_config`` selects the scan execution
-    strategy (batch size, workers, retries) — the result is identical
-    for every config.  ``dealias`` toggles the §6.2 dealiasing stage;
-    with it off the report passes raw hits through as clean.
+    simulation-scaled).  ``scan_config`` selects the scan batch size,
+    retry rounds and dealias pool size — the result is identical for
+    every batch size and pool size.  ``dealias`` toggles the §6.2
+    dealiasing stage; with it off the report passes raw hits through as
+    clean.
     """
 
     budget: int
@@ -219,54 +214,21 @@ class Campaign:
             sent += self.execution.stats.probes_sent
         return sent
 
-    # -- the monolithic path -------------------------------------------
-
     def run(self, *, resume: bool = False, crash: "WorkerCrash | None" = None):
         """Run the whole campaign to completion and return its result.
 
-        This is the pre-refactor ``run_full_scan`` body verbatim —
-        ``Scanner.scan`` keeps its pool paths for round 0 at
-        ``workers > 1`` — so hits and stats are bit-identical to the
-        old monolithic pipeline.  Phased campaigns (``allocation``
-        set) run the stepwise path to completion instead.
+        Exactly :meth:`begin`, :meth:`step` until it returns False, then
+        :meth:`finish`; a failure mid-scan aborts the campaign (closing
+        its checkpoint file and telemetry span) and re-raises.
         """
-        if self.allocation is not None:
-            self.begin(resume=resume, crash=crash)
+        self.begin(resume=resume, crash=crash)
+        try:
             while self.step():
                 pass
-            return self.finish()
-        spec = self.spec
-        ckpt_sink, checkpointer, resume_state = self._open_checkpoint(resume)
-        try:
-            with self._tele.span(
-                "full_scan", budget=spec.budget, port=spec.port
-            ):
-                if self.targets is not None:
-                    run = None
-                    scan_targets = self.targets
-                else:
-                    run = generate_per_prefix(
-                        self.groups, spec.budget, loose=spec.loose,
-                        telemetry=self.telemetry, progress_sink=ckpt_sink,
-                        processes=spec.gen_workers,
-                    )
-                    scan_targets = run.iter_target_columns()
-                scanner = Scanner(
-                    self.truth, config=spec.scan_config,
-                    telemetry=self.telemetry,
-                )
-                scan = scanner.scan(
-                    scan_targets, port=spec.port,
-                    checkpoint=checkpointer, resume=resume_state, crash=crash,
-                )
-                report = self._dealias(scanner, scan.hits)
-        finally:
-            if ckpt_sink is not None:
-                ckpt_sink.close()
-        self.run_output = run
-        self.state = "finished"
-        self.result = CampaignResult(run=run, scan=scan, report=report)
-        return self.result
+        except BaseException:
+            self.abort()
+            raise
+        return self.finish()
 
     # -- the stepwise path (what the service drives) -------------------
 

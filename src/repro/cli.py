@@ -946,7 +946,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=1,
-        help="shard the scan across this many worker processes",
+        help="size of the process pool dealiasing shards its alias "
+             "tests across (the scan itself always runs in-process)",
     )
     p.add_argument(
         "--checkpoint", metavar="FILE",

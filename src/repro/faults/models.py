@@ -7,8 +7,8 @@ never from sequential RNG state.  That choice buys three properties the
 scanner's parity tests rely on:
 
 * **order independence** — the verdict for a probe does not depend on
-  which probes came before it, so batched, pooled, and sequential scan
-  paths agree bit-for-bit;
+  which probes came before it, so the batched scan plane and the
+  sequential reference loop agree bit-for-bit;
 * **retry realism** — the attempt number is part of the key, so a
   retransmission is a fresh Bernoulli draw (except where a model
   deliberately pins state per address, e.g. a dead flaky host);
@@ -431,9 +431,8 @@ class WorkerCrash:
 
     Fires (raises :class:`InjectedWorkerCrash`) exactly when the scan
     reaches batch ``at_batch`` of round ``at_round``.  The spec is
-    stateless and picklable, so it crosses into pool workers; a resumed
-    run simply does not pass the crash spec again, mirroring an
-    operator restarting a fixed deployment.
+    stateless; a resumed run simply does not pass the crash spec again,
+    mirroring an operator restarting a fixed deployment.
     """
 
     at_batch: int

@@ -29,9 +29,8 @@ same byte prefix with different trailing-NUL counts — impossible at
 equal total width.)
 
 Everything here is shape-preserving and allocation-light on purpose:
-these arrays travel through :mod:`multiprocessing.shared_memory`
-segments into scan workers (see :mod:`repro.scanner.shm`), so lookup
-tables are plain contiguous ndarrays with no Python object graphs.
+lookup tables are plain contiguous ndarrays with no Python object
+graphs, so a scan batch is a handful of vectorised passes over them.
 """
 
 from __future__ import annotations
@@ -288,10 +287,8 @@ class FrozenKeySet:
 
     Holds the member addresses as a sorted, deduplicated ``S16`` key
     array; :meth:`member_keys` answers a whole batch with one
-    ``searchsorted``.  The backing array is a plain contiguous ndarray,
-    so a frozen set round-trips through shared memory unchanged (the
-    hash acceleration below is rebuilt lazily per process and never
-    shipped).
+    ``searchsorted``.  The backing array is a plain contiguous ndarray
+    (the hash acceleration below is built lazily on first use).
     """
 
     __slots__ = ("keys", "_hash_tables")

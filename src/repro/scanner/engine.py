@@ -15,16 +15,17 @@ The bulk path is a streaming, batched pipeline.  Targets stream in
 (deduplicated in insertion order), probe order is a ZMap-style cyclic
 permutation of the index space (:class:`~repro.scanner.schedule.
 CyclicPermutation` — O(1) auxiliary memory, no shuffled copy), and
-chunks flow through batched blacklist / loss / ground-truth lookups,
-optionally sharded across a process pool (:attr:`ScanConfig.workers`).
-A per-address sequential reference path (``use_batched=False``) is
-kept as the correctness oracle: for a fixed ``rng_seed`` both paths —
-and any worker count — produce identical hits *and* identical
-:class:`~repro.scanner.probe.ScanStats`, because probe order is the
-shared permutation and scan-time probe loss is a pure function of
-``(scan key, address)`` rather than a draw from a sequential RNG
-stream.  ``benchmarks/bench_scan.py`` enforces the parity on every
-run.
+every batch runs on the array plane (:class:`~repro.scanner.plane.
+ScanPlane`) as vectorised blacklist / loss / ground-truth lookups,
+driven one batch per step by :class:`~repro.scanner.execution.
+ScanExecution`.  A per-address loop (``Scanner._scan_reference``) is
+kept as the test-only correctness oracle: for a fixed ``rng_seed`` both
+produce identical hits *and* identical
+:class:`~repro.scanner.probe.ScanStats` at any batch size, because
+probe order is the shared permutation and scan-time probe loss is a
+pure function of ``(scan key, address)`` rather than a draw from a
+sequential RNG stream.  ``benchmarks/bench_scan.py`` enforces the
+parity on every run.
 
 Robustness extensions (all default-off, all parity-preserving):
 
@@ -45,8 +46,7 @@ Robustness extensions (all default-off, all parity-preserving):
   :mod:`repro.scanner.checkpoint` for the argument).
 * **Crash injection** (``crash=``): a
   :class:`~repro.faults.WorkerCrash` spec raises at a chosen batch,
-  in-process or inside a pool worker — the test hook behind the
-  resume-parity CI job.
+  the test hook behind the resume-parity CI job.
 """
 
 from __future__ import annotations
@@ -54,9 +54,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -66,6 +65,7 @@ from ..ipv6.addrplane import (
     dedupe_columns,
     fuse,
     is_columns,
+    pack,
     unpack,
 )
 from ..simnet.ground_truth import GroundTruth
@@ -98,9 +98,9 @@ def _loss_prf(key: int, addr: int) -> float:
     """Uniform-in-[0,1) pseudo-random function of ``(key, address)``.
 
     Scan-time probe loss uses this instead of a sequential RNG stream
-    so outcomes do not depend on probe order or worker sharding — the
-    property that makes the batched, multi-process paths bit-identical
-    to the sequential reference.
+    so outcomes do not depend on probe order or batching — the property
+    that makes the array plane bit-identical to the sequential
+    reference.
     """
     h = mix64(key ^ (addr & _M64))
     h = mix64(h ^ (addr >> 64))
@@ -173,22 +173,16 @@ def _round_key(loss_key: int, round_: int) -> int:
 class ScanConfig:
     """Execution parameters for :meth:`Scanner.scan`.
 
-    ``batch_size`` is the chunk granularity of the streaming pipeline;
-    ``workers`` > 1 shards chunks across a process pool (1 keeps the
-    scan in-process); ``use_batched=False`` selects the per-address
-    sequential reference path (the correctness oracle the benchmark
-    compares against).  All settings produce identical results for a
-    fixed ``rng_seed`` — they only trade memory and speed.
+    ``batch_size`` is the chunk granularity of the streaming pipeline
+    (one :meth:`~repro.scanner.execution.ScanExecution.step` probes one
+    batch); ``workers`` sizes the process pool dealiasing shards its
+    alias tests across — the scan itself always runs in-process.  Hits
+    and stats are identical for every setting; they only trade memory
+    and speed.
     """
 
     batch_size: int = 4096
     workers: int = 1
-    use_batched: bool = True
-    #: Run batches on the array-native scan plane (packed uint64 hi/lo
-    #: columns, vectorised lookups, shared-memory worker shards) when
-    #: the truth/blacklist types support it.  Parity-gated: verdicts
-    #: are bit-identical to the object path, this only trades speed.
-    use_arrays: bool = True
     #: Extra probe rounds for non-responders (0 = single-pass, the
     #: pre-retry behaviour, bit-identical output).
     retries: int = 0
@@ -221,9 +215,7 @@ class _PreparedScan:
     resume state already recorded ``scan_complete``.
     """
 
-    ordered: "list[int] | None" = None
     cols: "tuple[np.ndarray, np.ndarray] | None" = None
-    n: int = 0
     perm: CyclicPermutation | None = None
     loss_key: int = 0
     completed: ScanResult | None = None
@@ -342,9 +334,7 @@ class Scanner:
         if attempts < 1:
             raise ValueError(f"attempts must be >= 1: {attempts}")
         addrs = [int(a) for a in addrs]
-        if len(addrs) >= _ARRAY_PROBE_MIN and ScanPlane.supports(
-            self.truth, self.blacklist
-        ):
+        if len(addrs) >= _ARRAY_PROBE_MIN:
             return self._probe_many_arr(addrs, port, attempts, stats)
         results = [False] * len(addrs)
         if self.blacklist:
@@ -394,15 +384,19 @@ class Scanner:
         attempts: int,
         stats: ScanStats | None,
     ) -> list[bool]:
-        """Array-native :meth:`probe_many`: identical verdicts and stats."""
-        import numpy as np
+        """Array-native :meth:`probe_many`: identical verdicts and stats.
 
-        from ..ipv6.addrplane import pack
-
+        Lookups go through a :class:`ScanPlane` over the batch, so any
+        truth/blacklist type is served (frozen tables for the exact
+        types, the object's own batch methods for subclasses).
+        """
         hi, lo = pack(addrs)
+        plane = ScanPlane.build(
+            self.truth, self.blacklist, (hi, lo), port, self.loss_rate
+        )
         results = np.zeros(len(addrs), dtype=bool)
-        if self.blacklist:
-            blocked = self.blacklist.contains_arr(hi, lo)
+        blocked = plane._blocked(hi, lo)
+        if blocked is not None:
             pending = np.flatnonzero(~blocked)
             if stats is not None:
                 stats.blacklisted += len(addrs) - len(pending)
@@ -428,9 +422,7 @@ class Scanner:
             else:
                 kept = pending
             if len(kept):
-                flags = self.truth.responsive_many_arr(
-                    hi[kept], lo[kept], port, attempt=attempt
-                )
+                flags = plane._responsive(hi[kept], lo[kept], attempt)
                 responded = kept[flags]
                 results[responded] = True
                 if stats is not None:
@@ -448,49 +440,35 @@ class Scanner:
         checkpoint: "ScanCheckpointer | None",
         resume: "ResumeState | None",
     ) -> "_PreparedScan":
-        """Everything before the first probe, shared by scan paths.
+        """Everything before the first probe.
 
-        Normalises the target source, draws the scan keys, verifies and
-        applies a resume state, and writes the ``scan_begin`` record.
-        Returns the prepared inputs — or, for a resume state that
-        already recorded completion, the finished result (``completed``
-        set, nothing else valid).
+        Normalises the target source to packed columns, draws the scan
+        keys, verifies and applies a resume state, and writes the
+        ``scan_begin`` record.  Returns the prepared inputs — or, for a
+        resume state that already recorded completion, the finished
+        result (``completed`` set, nothing else valid).
         """
         config = self.config
         ordered, cols = _normalize_targets(targets)
         if cols is not None:
-            plane_ok = (
-                config.use_batched
-                and config.use_arrays
-                and ScanPlane.supports(self.truth, self.blacklist)
-            )
             if not shuffle:
                 # Fused-key argsort == numeric ascending == the scalar
                 # path's ordered.sort() on the unpacked list.
                 order = np.argsort(fuse(*cols))
                 cols = (cols[0][order], cols[1][order])
-            if not plane_ok or checkpoint is not None or resume is not None:
-                # The reference/object paths walk boxed ints, and the
-                # checkpoint digest is defined over them; the plane
-                # keeps the columns whenever it can use them.
+            if checkpoint is not None or resume is not None:
+                # The checkpoint digest is defined over boxed ints.
                 ordered = _columns_to_list(cols)
-                if not plane_ok:
-                    cols = None
-        elif not shuffle:
-            ordered.sort()
-        n = len(ordered) if ordered is not None else len(cols[0])
-        # Both paths draw the same keys in the same order so reference
-        # and batched scans consume _order_rng identically — and a
-        # resumed scan still draws them (then discards them in favour
-        # of the recorded keys) so later scans on this Scanner see an
-        # unshifted key stream.
+        else:
+            if not shuffle:
+                ordered.sort()
+            cols = pack(ordered)
+        n = len(cols[0])
+        # A resumed scan still draws the keys (then discards them in
+        # favour of the recorded ones) so later scans on this Scanner
+        # see an unshifted key stream.
         perm_key = self._order_rng.getrandbits(64)
         loss_key = self._order_rng.getrandbits(64)
-        if (checkpoint or resume) and not config.use_batched:
-            raise ValueError(
-                "checkpoint/resume/crash-injection require the batched "
-                "scan path (use_batched=True)"
-            )
         digest = None
         if checkpoint is not None or resume is not None:
             from .checkpoint import target_digest
@@ -547,9 +525,7 @@ class Scanner:
                     stats=resume.stats,
                     hits=resume.hits,
                 )
-        return _PreparedScan(
-            ordered=ordered, cols=cols, n=n, perm=perm, loss_key=loss_key
-        )
+        return _PreparedScan(cols=cols, perm=perm, loss_key=loss_key)
 
     def scan(
         self,
@@ -576,39 +552,26 @@ class Scanner:
         supply the same target stream, port, and retry budget — this is
         verified against the recorded digest).  ``crash`` arms a
         :class:`~repro.faults.WorkerCrash` fault, the deterministic
-        kill switch the resume-parity tests use.  All three require the
-        batched path.
+        kill switch the resume-parity tests use.
+
+        This drives :meth:`start_execution` to completion; the scan
+        itself books the probes and emits the summary telemetry.
         """
-        config = self.config
-        if crash is not None and not config.use_batched:
-            raise ValueError(
-                "checkpoint/resume/crash-injection require the batched "
-                "scan path (use_batched=True)"
-            )
-        prep = self._prepare_scan(
+        execution = self.start_execution(
             targets, port, shuffle=shuffle, checkpoint=checkpoint,
-            resume=resume,
+            resume=resume, crash=crash, finalize=False,
         )
-        if prep.completed is not None:
-            return prep.completed
-        tele = self.telemetry
-        with tele.span(
-            "scan", port=port, targets=prep.n, workers=config.workers
+        if execution.finished:
+            return execution.result()
+        config = self.config
+        with self.telemetry.span(
+            "scan", port=port, targets=execution.n, workers=config.workers
         ):
             start = time.perf_counter()
-            if config.use_batched:
-                result = self._scan_batched(
-                    prep.ordered, prep.perm, prep.loss_key, port, config,
-                    checkpoint=checkpoint, resume=resume, crash=crash,
-                    cols=prep.cols,
-                )
-            else:
-                result = self._scan_reference(
-                    prep.ordered, prep.perm, prep.loss_key, port, config
-                )
+            result = execution.run()
             elapsed = time.perf_counter() - start
         self.total_probes += result.stats.probes_sent + result.stats.retransmits
-        self._emit_scan_summary(result, prep.n, elapsed, port, config)
+        self._emit_scan_summary(result, execution.n, elapsed, port, config)
         return result
 
     def start_execution(
@@ -620,46 +583,40 @@ class Scanner:
         checkpoint: "ScanCheckpointer | None" = None,
         resume: "ResumeState | None" = None,
         crash: "WorkerCrash | None" = None,
+        finalize: bool = True,
     ):
         """Begin a scan as a stepwise :class:`~repro.scanner.execution.
         ScanExecution` instead of running it to completion.
 
-        The returned execution performs the identical batch sequence an
-        in-process :meth:`scan` would (same keys, same verdicts, same
-        checkpoints), one batch per :meth:`~repro.scanner.execution.
-        ScanExecution.step` — the primitive the multi-tenant campaign
-        scheduler interleaves.  Requires the batched path; executions
-        always run in-process (worker pools belong to :meth:`scan`).
+        The returned execution performs the scan one batch per
+        :meth:`~repro.scanner.execution.ScanExecution.step` — the
+        primitive the multi-tenant campaign scheduler interleaves.
+        With ``finalize`` (the default) the closing step books the
+        probes on this scanner and emits the summary telemetry;
+        :meth:`scan` passes False and does both itself.
         """
         from .execution import ScanExecution
 
-        config = self.config
-        if not config.use_batched:
-            raise ValueError(
-                "stepwise execution requires the batched scan path "
-                "(use_batched=True)"
-            )
         prep = self._prepare_scan(
             targets, port, shuffle=shuffle, checkpoint=checkpoint,
             resume=resume,
         )
         if prep.completed is not None:
             return ScanExecution(
-                self, ordered=None, cols=None, perm=None, loss_key=0,
-                port=port, config=config, completed=prep.completed,
+                self, cols=None, perm=None, loss_key=0,
+                port=port, config=self.config, completed=prep.completed,
             )
         return ScanExecution(
             self,
-            ordered=prep.ordered,
             cols=prep.cols,
             perm=prep.perm,
             loss_key=prep.loss_key,
             port=port,
-            config=config,
+            config=self.config,
             checkpoint=checkpoint,
             resume=resume,
             crash=crash,
-            finalize=True,
+            finalize=finalize,
         )
 
     def _emit_scan_summary(
@@ -677,9 +634,8 @@ class Scanner:
         tele.count("scan.runs")
         tele.count("scan.targets", n)
         tele.count("scan.hits", len(result.hits))
-        # One conversion from the final (parity-gated) stats for
-        # every execution path, so counter totals are identical for
-        # any batch size or worker count.
+        # One conversion from the final (parity-gated) stats, so
+        # counter totals are identical for any batch size.
         tele.merge_snapshot(scan_stats_snapshot(result.stats))
         if elapsed > 0:
             tele.gauge(
@@ -717,14 +673,23 @@ class Scanner:
 
     def _scan_reference(
         self,
-        ordered: list[int],
-        perm: CyclicPermutation | None,
-        loss_key: int,
-        port: int,
-        config: ScanConfig | None = None,
+        targets: Iterable[int],
+        port: int = DEFAULT_PORT,
+        *,
+        shuffle: bool = True,
     ) -> ScanResult:
-        """Per-address loop: the readable spec the batched path must match."""
-        config = config or self.config
+        """Per-address loop: the readable spec the array plane must match.
+
+        A test-only oracle.  It draws the scan keys exactly as
+        :meth:`scan` does, so for a fixed ``rng_seed`` both return the
+        same hits and stats; it emits no telemetry and takes no
+        checkpoint.
+        """
+        prep = self._prepare_scan(
+            targets, port, shuffle=shuffle, checkpoint=None, resume=None
+        )
+        ordered = unpack(*prep.cols)
+        perm, loss_key = prep.perm, prep.loss_key
         stats = ScanStats()
         hits: set[int] = set()
         loss = self.loss_rate
@@ -743,7 +708,7 @@ class Scanner:
         # Retry rounds: re-walk the permuted order, skipping responders
         # and blacklisted targets.  Blacklist verdicts are not
         # re-counted (the verdict cannot change between rounds).
-        for round_ in range(1, config.retries + 1):
+        for round_ in range(1, self.config.retries + 1):
             key = _round_key(loss_key, round_)
             pending_seen = False
             for index in range(len(ordered)):
@@ -762,208 +727,8 @@ class Scanner:
                     hits.add(addr)
             if not pending_seen:
                 break
+        self.total_probes += stats.probes_sent + stats.retransmits
         return ScanResult(port=port, hits=hits, stats=stats)
-
-    def _scan_batched(
-        self,
-        ordered: list[int] | None,
-        perm: CyclicPermutation | None,
-        loss_key: int,
-        port: int,
-        config: ScanConfig,
-        *,
-        checkpoint: "ScanCheckpointer | None" = None,
-        resume: "ResumeState | None" = None,
-        crash: "WorkerCrash | None" = None,
-        cols: "tuple[np.ndarray, np.ndarray] | None" = None,
-    ) -> ScanResult:
-        # ``ordered`` is None only on the pure column path, where the
-        # caller guarantees the array plane applies (so the object-path
-        # branches in the execution, which need boxed ints, are
-        # unreachable).  The batch loop itself lives in ScanExecution
-        # (one batch per step); this driver only decides whether round
-        # 0 runs through a worker pool first.
-        from .execution import ScanExecution
-
-        execution = ScanExecution(
-            self, ordered=ordered, cols=cols, perm=perm, loss_key=loss_key,
-            port=port, config=config, checkpoint=checkpoint, resume=resume,
-            crash=crash,
-        )
-        n = execution.n
-        if (
-            execution.start_round == 0
-            and config.workers > 1
-            and n > config.batch_size
-        ):
-            if execution.plane is not None:
-                self._scan_pool_shared(
-                    execution.plane, perm, loss_key, config,
-                    execution.stats, execution.hits,
-                    checkpoint=checkpoint,
-                    start_batch=execution.start_batch, crash=crash,
-                )
-            else:
-                self._scan_pool(
-                    ordered, perm, loss_key, port, config,
-                    execution.stats, execution.hits,
-                    checkpoint=checkpoint,
-                    start_batch=execution.start_batch, crash=crash,
-                )
-            execution.skip_round0()
-        return execution.run()
-
-    def _pending_targets(
-        self,
-        ordered: list[int],
-        perm: CyclicPermutation | None,
-        hits: set[int],
-        config: ScanConfig,
-    ) -> list[int]:
-        """Non-responding, non-blacklisted targets, in permuted order.
-
-        Pure function of (target list, permutation, hits) — the
-        property that lets a resumed run rebuild exactly the pending
-        set an uninterrupted run would carry into a retry round.
-        """
-        pending: list[int] = []
-        for _, batch in _iter_permuted_batches(ordered, perm, config.batch_size):
-            if self.blacklist:
-                flags = self.blacklist.contains_many(batch)
-                pending.extend(
-                    a
-                    for a, flagged in zip(batch, flags)
-                    if not flagged and a not in hits
-                )
-            else:
-                pending.extend(a for a in batch if a not in hits)
-        return pending
-
-    def _scan_pool(
-        self,
-        ordered: list[int],
-        perm: CyclicPermutation | None,
-        loss_key: int,
-        port: int,
-        config: ScanConfig,
-        stats: ScanStats,
-        hits: set[int],
-        *,
-        checkpoint: "ScanCheckpointer | None" = None,
-        start_batch: int = 0,
-        crash: "WorkerCrash | None" = None,
-    ) -> None:
-        """Shard permuted chunks across a process pool and merge stats.
-
-        Every counter is an order-independent sum and the loss PRF is a
-        pure function of the address, so the merged result is identical
-        to the in-process batched (and reference) scan.  Futures are
-        merged in submission order, so checkpointed progress is always
-        a contiguous batch prefix — the invariant resume relies on.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        tele = self.telemetry
-        # Bound outstanding futures so huge target streams never
-        # materialise as one giant pending-chunk queue.
-        window = config.workers * 4
-        with ProcessPoolExecutor(
-            max_workers=config.workers,
-            initializer=_pool_init,
-            initargs=(
-                self.truth, self.blacklist, self.loss_rate, loss_key,
-                port, crash,
-            ),
-        ) as pool:
-            futures: deque = deque()
-
-            def merge_one() -> None:
-                index, chunk_hits, chunk_stats = futures.popleft().result()
-                hits.update(chunk_hits)
-                stats.merge(chunk_stats)
-                tele.count("scan.worker_merges")
-                if checkpoint is not None:
-                    checkpoint.note_batch(chunk_hits)
-                    checkpoint.checkpoint(0, index + 1, stats)
-
-            for index, batch in _iter_permuted_batches(
-                ordered, perm, config.batch_size, start_batch
-            ):
-                futures.append(pool.submit(_pool_scan_chunk, index, batch))
-                tele.count("scan.batches")
-                if len(futures) >= window:
-                    merge_one()
-            while futures:
-                merge_one()
-
-    def _scan_pool_shared(
-        self,
-        plane: ScanPlane,
-        perm: CyclicPermutation | None,
-        loss_key: int,
-        config: ScanConfig,
-        stats: ScanStats,
-        hits: set[int],
-        *,
-        checkpoint: "ScanCheckpointer | None" = None,
-        start_batch: int = 0,
-        crash: "WorkerCrash | None" = None,
-    ) -> None:
-        """Shard the array plane across a pool via one shm segment.
-
-        The target columns and every frozen lookup table travel once,
-        through a :class:`~repro.scanner.shm.SharedArrays` segment;
-        each task is just ``(batch_index, start, stop)`` — O(1) bytes
-        per shard regardless of target count.  Workers rebuild the
-        cyclic permutation from its (picklable, O(1)) spec and read
-        their shard's columns straight from the segment.  The parent
-        is the only process that unlinks the segment, always — a pool
-        worker crash propagates out of the executor context and the
-        ``finally`` still reclaims ``/dev/shm``.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .shm import SharedArrays
-
-        tele = self.telemetry
-        arrays, meta = plane.shared_payload()
-        meta["loss_key"] = loss_key
-        window = config.workers * 4
-        shared = SharedArrays.create(arrays)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=config.workers,
-                initializer=_plane_pool_init,
-                initargs=(shared.spec, meta, perm, crash),
-            ) as pool:
-                futures: deque = deque()
-
-                def merge_one() -> None:
-                    index, chunk_hits, chunk_stats = futures.popleft().result()
-                    hits.update(chunk_hits)
-                    stats.merge(chunk_stats)
-                    tele.count("scan.worker_merges")
-                    if checkpoint is not None:
-                        checkpoint.note_batch(chunk_hits)
-                        checkpoint.checkpoint(0, index + 1, stats)
-
-                n = len(plane.hi)
-                batch_size = config.batch_size
-                for start in range(start_batch * batch_size, n, batch_size):
-                    index = start // batch_size
-                    futures.append(
-                        pool.submit(
-                            _plane_scan_chunk,
-                            index, start, min(start + batch_size, n),
-                        )
-                    )
-                    tele.count("scan.batches")
-                    if len(futures) >= window:
-                        merge_one()
-                while futures:
-                    merge_one()
-        finally:
-            shared.close()
 
 
 def scan_stats_snapshot(stats: ScanStats) -> MetricsSnapshot:
@@ -983,150 +748,3 @@ def scan_stats_snapshot(stats: ScanStats) -> MetricsSnapshot:
             "scan.retransmits": stats.retransmits,
         }
     )
-
-
-def _iter_permuted_batches(
-    ordered: list[int],
-    perm: CyclicPermutation | None,
-    batch_size: int,
-    start_batch: int = 0,
-) -> Iterator[tuple[int, list[int]]]:
-    """Yield ``(batch_index, chunk)`` in permuted order.
-
-    ``start_batch`` skips already-completed batches without computing
-    their permutations — the resume fast-forward.
-    """
-    n = len(ordered)
-    for start in range(start_batch * batch_size, n, batch_size):
-        index = start // batch_size
-        if perm is None:
-            yield index, ordered[start : start + batch_size]
-        else:
-            indices = perm.permute_range(start, min(start + batch_size, n))
-            yield index, [ordered[j] for j in indices]
-
-
-def _probe_batch(
-    truth: GroundTruth,
-    blacklist: Blacklist,
-    loss_rate: float,
-    loss_key: int,
-    port: int,
-    batch: list[int],
-    stats: ScanStats,
-    hits: set[int],
-) -> list[int]:
-    """Probe one chunk with batched blacklist / loss / truth lookups.
-
-    Returns the chunk's responsive addresses (the checkpoint delta).
-    """
-    if blacklist:
-        flags = blacklist.contains_many(batch)
-        allowed = [a for a, flagged in zip(batch, flags) if not flagged]
-        stats.blacklisted += len(batch) - len(allowed)
-    else:
-        allowed = batch
-    stats.probes_sent += len(allowed)
-    if loss_rate:
-        kept = []
-        for a in allowed:
-            if _loss_prf(loss_key, a) < loss_rate:
-                stats.dropped += 1
-            else:
-                kept.append(a)
-    else:
-        kept = allowed
-    responsive: list[int] = []
-    if kept:
-        flags = truth.responsive_many(kept, port)
-        responsive = [a for a, responded in zip(kept, flags) if responded]
-        stats.responses += len(responsive)
-        hits.update(responsive)
-    return responsive
-
-
-def _retry_batch(
-    truth: GroundTruth,
-    loss_rate: float,
-    round_key: int,
-    round_: int,
-    port: int,
-    batch: list[int],
-    stats: ScanStats,
-    hits: set[int],
-) -> list[int]:
-    """One retry round's worth of probes for a pending chunk.
-
-    The chunk is pre-filtered (no blacklisted, no responders), so only
-    loss and ground truth apply; probes count as retransmits.  Returns
-    the newly responsive addresses.
-    """
-    stats.retransmits += len(batch)
-    if loss_rate:
-        kept = []
-        for a in batch:
-            if _loss_prf(round_key, a) < loss_rate:
-                stats.dropped += 1
-            else:
-                kept.append(a)
-    else:
-        kept = batch
-    responsive: list[int] = []
-    if kept:
-        flags = truth.responsive_many(kept, port, attempt=round_)
-        responsive = [a for a, responded in zip(kept, flags) if responded]
-        stats.responses += len(responsive)
-        hits.update(responsive)
-    return responsive
-
-
-#: Per-process state for scan-pool workers (set by the initializer).
-_POOL_STATE: dict = {}
-
-
-def _pool_init(
-    truth: GroundTruth,
-    blacklist: Blacklist,
-    loss_rate: float,
-    loss_key: int,
-    port: int,
-    crash=None,
-) -> None:
-    _POOL_STATE["args"] = (truth, blacklist, loss_rate, loss_key, port, crash)
-
-
-def _pool_scan_chunk(
-    index: int, batch: list[int]
-) -> tuple[int, list[int], ScanStats]:
-    truth, blacklist, loss_rate, loss_key, port, crash = _POOL_STATE["args"]
-    if crash is not None:
-        crash.check(0, index)
-    stats = ScanStats()
-    hits: set[int] = set()
-    responsive = _probe_batch(
-        truth, blacklist, loss_rate, loss_key, port, batch, stats, hits
-    )
-    return index, responsive, stats
-
-
-def _plane_pool_init(spec: dict, meta: dict, perm, crash) -> None:
-    """Attach the shared scan plane in a pool worker (once per process)."""
-    from .shm import SharedArrays
-
-    shared = SharedArrays.attach(spec)
-    plane = ScanPlane.from_shared(meta, shared.arrays)
-    # Keep `shared` referenced so the mapping outlives this initializer.
-    _POOL_STATE["plane"] = (plane, perm, meta["loss_key"], crash, shared)
-
-
-def _plane_scan_chunk(
-    index: int, start: int, stop: int
-) -> tuple[int, list[int], ScanStats]:
-    """Probe one O(1)-described shard against the attached plane."""
-    plane, perm, loss_key, crash, _shared = _POOL_STATE["plane"]
-    if crash is not None:
-        crash.check(0, index)
-    stats = ScanStats()
-    hits: set[int] = set()
-    responsive = plane.probe_range(perm, start, stop, loss_key, stats, hits)
-    return index, responsive, stats

@@ -1,11 +1,10 @@
 """Stepwise scan execution: the batched scan loop, one batch per call.
 
-:class:`ScanExecution` is the in-process batched scan path of
-:meth:`Scanner.scan` restructured as an explicit state machine:
-each :meth:`ScanExecution.step` executes exactly one probe batch
-(a round-0 chunk or a retry chunk, with round transitions, pending-set
-computation, and checkpoint writes happening between batches exactly
-where the monolithic loop performed them).  ``Scanner._scan_batched``
+:class:`ScanExecution` is the scan path as an explicit state machine:
+each :meth:`ScanExecution.step` executes exactly one probe batch on the
+array plane (:class:`~repro.scanner.plane.ScanPlane`) — a round-0 chunk
+or a retry chunk, with round transitions, pending-set computation, and
+checkpoint writes happening between batches.  :meth:`Scanner.scan`
 drives an execution to completion, so the single-campaign path *is*
 this code; the campaign service (:mod:`repro.service`) interleaves
 steps of many executions over one process instead.
@@ -20,7 +19,7 @@ parity tests.
 
 Preemption is stopping: a paused execution simply stops being stepped;
 its checkpoint file (when armed) already holds a resumable prefix, so
-a cold resume goes through the ordinary PR 4 resume path and finishes
+a cold resume goes through the ordinary resume path and finishes
 bit-identical to an uninterrupted run.
 """
 
@@ -44,18 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ScanExecution:
     """One scan's remaining work, executable one batch at a time.
 
-    Built by :meth:`Scanner.start_execution` (or internally by
-    ``Scanner._scan_batched``).  Call :meth:`step` until it returns
-    False, then read :meth:`result`.  ``stats`` and ``hits`` are live:
-    a scheduler can read ``stats.probes_sent`` between steps to charge
-    probe budgets at batch granularity.
+    Built by :meth:`Scanner.start_execution`.  Call :meth:`step` until
+    it returns False, then read :meth:`result`.  ``stats`` and ``hits``
+    are live: a scheduler can read ``stats.probes_sent`` between steps
+    to charge probe budgets at batch granularity.
     """
 
     def __init__(
         self,
         scanner: "Scanner",
         *,
-        ordered: "list[int] | None",
         cols: "tuple[np.ndarray, np.ndarray] | None",
         perm: CyclicPermutation | None,
         loss_key: int,
@@ -70,8 +67,6 @@ class ScanExecution:
         self.scanner = scanner
         self.port = port
         self.config = config
-        self.ordered = ordered
-        self.cols = cols
         self.perm = perm
         self.loss_key = loss_key
         self.checkpoint = checkpoint
@@ -98,46 +93,22 @@ class ScanExecution:
             self.stats = ScanStats()
             self.hits = set()
             self.start_round, self.start_batch = 0, 0
-        # The array plane is a frozen snapshot of targets + lookup
-        # tables; when the truth/blacklist types support it, every
-        # batch below runs as vectorised column passes with identical
-        # verdicts (the parity tests and CI gate enforce this).
-        self.plane = None
-        if config.use_arrays and ScanPlane.supports(
-            scanner.truth, scanner.blacklist
-        ):
-            self.plane = ScanPlane.build(
-                scanner.truth,
-                scanner.blacklist,
-                cols if cols is not None else ordered,
-                port,
-                scanner.loss_rate,
-            )
-        self.n = len(cols[0]) if cols is not None else len(ordered)
+        self.plane = ScanPlane.build(
+            scanner.truth, scanner.blacklist, cols, port, scanner.loss_rate
+        )
+        self.n = len(cols[0])
         # Version token of the world this execution was planned against.
         # A stepped execution spans wall-clock time; if the truth
         # mutates in between (churn advancing an epoch), both the frozen
         # plane and the already-computed pending sets describe a world
         # that no longer exists, so step() refuses to continue.
         self.world_version = getattr(scanner.truth, "world_version", None)
-        self._round0_external = False
         self._result = None
         self._gen = self._work()
 
     @property
     def finished(self) -> bool:
         return self._result is not None
-
-    def skip_round0(self) -> None:
-        """Mark round 0 as executed externally (the pool paths).
-
-        ``Scanner._scan_batched`` shards round 0 across a process pool
-        when configured; the execution then owns only the retry rounds.
-        Must be called before the first :meth:`step`.
-        """
-        if self.batches_done:
-            raise RuntimeError("cannot skip round 0 of a started execution")
-        self._round0_external = True
 
     def step(self) -> bool:
         """Execute one probe batch; False once the scan has finished.
@@ -188,6 +159,9 @@ class ScanExecution:
         return self._result
 
     def _complete(self) -> None:
+        # The plane's columns and tables are dead weight from here on;
+        # a finished execution is often held while its hits are dealiased.
+        self.plane = None
         if self.checkpoint is not None:
             self.checkpoint.complete(stats=self.stats)
         self._result = ScanResult(
@@ -207,101 +181,61 @@ class ScanExecution:
             )
 
     def _work(self) -> Iterator[None]:
-        """Yield once per executed batch, in the monolithic loop's order.
+        """Yield once per executed batch.
 
-        The body between two yields is exactly the body of one
-        iteration of ``Scanner._scan_batched``'s in-process loops —
-        same primitives, same sequence — which is what makes a stepped
-        execution bit-identical to the monolithic scan.
+        Round 0 walks the permuted targets in ``batch_size`` slices;
+        each retry round re-derives the pending set (a pure function of
+        targets, permutation and hits) and walks it the same way.
         """
-        from .engine import (
-            _iter_permuted_batches,
-            _probe_batch,
-            _retry_batch,
-            _round_key,
-        )
+        from .engine import _round_key
 
-        scanner, config = self.scanner, self.config
-        plane, perm, loss_key = self.plane, self.perm, self.loss_key
+        config, plane, perm, loss_key = (
+            self.config, self.plane, self.perm, self.loss_key,
+        )
         stats, hits, checkpoint, crash = (
             self.stats, self.hits, self.checkpoint, self.crash,
         )
-        tele = scanner.telemetry
+        tele = self.scanner.telemetry
         batch_size = config.batch_size
         n = self.n
         start_round = self.start_round
         if start_round == 0:
-            if not self._round0_external:
-                if plane is not None:
-                    for start in range(
-                        self.start_batch * batch_size, n, batch_size
-                    ):
-                        index = start // batch_size
-                        if crash is not None:
-                            crash.check(0, index)
-                        new_hits = plane.probe_range(
-                            perm, start, min(start + batch_size, n),
-                            loss_key, stats, hits,
-                        )
-                        tele.count("scan.batches")
-                        if checkpoint is not None:
-                            checkpoint.note_batch(new_hits)
-                            checkpoint.checkpoint(0, index + 1, stats)
-                        yield
-                else:
-                    for index, batch in _iter_permuted_batches(
-                        self.ordered, perm, batch_size, self.start_batch
-                    ):
-                        if crash is not None:
-                            crash.check(0, index)
-                        new_hits = _probe_batch(
-                            scanner.truth, scanner.blacklist,
-                            scanner.loss_rate, loss_key, self.port, batch,
-                            stats, hits,
-                        )
-                        tele.count("scan.batches")
-                        if checkpoint is not None:
-                            checkpoint.note_batch(new_hits)
-                            checkpoint.checkpoint(0, index + 1, stats)
-                        yield
+            for start in range(self.start_batch * batch_size, n, batch_size):
+                index = start // batch_size
+                if crash is not None:
+                    crash.check(0, index)
+                new_hits = plane.probe_range(
+                    perm, start, min(start + batch_size, n),
+                    loss_key, stats, hits,
+                )
+                tele.count("scan.batches")
+                if checkpoint is not None:
+                    checkpoint.note_batch(new_hits)
+                    checkpoint.checkpoint(0, index + 1, stats)
+                yield
             start_round = 1
-        # Retry rounds always run in-process: the pending set is a
-        # shrinking fraction of the target list, and every verdict is
-        # the same pure function a pool worker would compute.
         # Checkpoints for retry rounds land only on round boundaries —
         # the pending set is derived from the hits at round start, so a
         # boundary checkpoint is exactly recomputable on resume.
         for round_ in range(start_round, config.retries + 1):
-            if plane is not None:
-                pending_hi, pending_lo = plane.pending_columns(
-                    perm, batch_size, hits
-                )
-                pending_count = len(pending_hi)
-            else:
-                pending = scanner._pending_targets(
-                    self.ordered, perm, hits, config
-                )
-                pending_count = len(pending)
-            if not pending_count:
+            pending_hi, pending_lo = plane.pending_columns(
+                perm, batch_size, hits
+            )
+            if not len(pending_hi):
                 break
             key = _round_key(loss_key, round_)
             if tele.enabled:
                 tele.count("scan.retry_rounds")
-            for index, start in enumerate(range(0, pending_count, batch_size)):
+            for index, start in enumerate(
+                range(0, len(pending_hi), batch_size)
+            ):
                 if crash is not None:
                     crash.check(round_, index)
-                if plane is not None:
-                    new_hits = plane.retry_chunk(
-                        pending_hi[start : start + batch_size],
-                        pending_lo[start : start + batch_size],
-                        key, round_, stats, hits,
-                    )
-                else:
-                    new_hits = _retry_batch(
-                        scanner.truth, scanner.loss_rate, key, round_,
-                        self.port, pending[start : start + batch_size],
-                        stats, hits,
-                    )
+                new_hits = plane.retry_chunk(
+                    pending_hi[start : start + batch_size],
+                    pending_lo[start : start + batch_size],
+                    key, round_, stats, hits,
+                )
                 tele.count("scan.batches")
                 if checkpoint is not None:
                     checkpoint.note_batch(new_hits)

@@ -6,24 +6,22 @@ needs — target hi/lo columns, the blacklist as a
 set as a :class:`~repro.ipv6.addrplane.FrozenKeySet`, aliased regions
 as a second mask table, and the (optional) fault model — so one probe
 batch is a handful of vectorised numpy passes instead of a Python loop
-over boxed 128-bit ints.
+over boxed 128-bit ints.  It is the only production scan path:
+:class:`~repro.scanner.execution.ScanExecution` runs every batch here.
 
-The same :meth:`ScanPlane.probe_range` runs in-process and inside pool
-workers: a pooled scan ships the plane's arrays through one
-shared-memory segment (:mod:`repro.scanner.shm`) and each shard task is
-just an index range, so worker dispatch is O(1) per shard regardless of
-target count.  Workers rebuild the cyclic permutation from ``(n,
-perm_key)`` and read their shard's columns straight out of the segment.
+Any :class:`GroundTruth` / :class:`Blacklist` is accepted.  The exact
+types (and :class:`~repro.faults.FaultyGroundTruth`) are frozen into
+tables; for a subclass the plane keeps the object and calls its
+``responsive_many`` / ``contains_many`` on each batch's unpacked ints,
+so overridden lookups are still honoured.
 
 Parity contract: every verdict here is the same pure function of
-``(key, address, attempt)`` the scalar reference path computes —
-:func:`loss_prf_arr` matches ``engine._loss_prf`` bit-for-bit (uint64
-hash, then one exact power-of-two float scaling), membership tables are
-exact, and fault models vectorise their own PRFs — so hits and stats
-are identical to the reference scan for any batch size or worker count.
-``ScanPlane.supports`` gates the fast path to the exact types it can
-snapshot (subclassed truths/blacklists fall back to the object path,
-which obeys dynamic dispatch).
+``(key, address, attempt)`` the per-address reference loop
+(``Scanner._scan_reference``) computes — :func:`loss_prf_arr` matches
+``engine._loss_prf`` bit-for-bit (uint64 hash, then one exact
+power-of-two float scaling), membership tables are exact, and fault
+models vectorise their own PRFs — so hits and stats are identical to
+the reference scan for any batch size.
 """
 
 from __future__ import annotations
@@ -75,11 +73,12 @@ def loss_prf_arr(key: int, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 class ScanPlane:
-    """Frozen array-native scan context (targets + lookup tables)."""
+    """Array-native scan context (targets + lookup tables)."""
 
     __slots__ = (
-        "hi", "lo", "blacklist_table", "host_keys", "alias_table",
-        "fault", "loss_rate", "port", "permuted", "world_version",
+        "hi", "lo", "port", "loss_rate", "world_version", "permuted",
+        "blacklist_table", "blacklist", "host_keys", "alias_table",
+        "fault", "truth",
     )
 
     def __init__(
@@ -87,43 +86,28 @@ class ScanPlane:
         hi: np.ndarray,
         lo: np.ndarray,
         *,
-        blacklist_table: PrefixMaskTable | None,
-        host_keys: FrozenKeySet,
-        alias_table: PrefixMaskTable | None,
-        fault: "FaultModel | None",
-        loss_rate: float,
         port: int,
+        loss_rate: float,
         world_version: tuple[int, int] | None = None,
     ):
         self.hi = hi
         self.lo = lo
-        self.blacklist_table = blacklist_table
-        self.host_keys = host_keys
-        self.alias_table = alias_table
-        self.fault = fault
-        self.loss_rate = loss_rate
         self.port = port
-        # Version token of the truth this plane froze (None when built
-        # from raw columns without a truth in hand).
+        self.loss_rate = loss_rate
+        # Version token of the truth this plane was built against.
         self.world_version = world_version
         # Lazily materialised permuted target columns (see gather()).
         self.permuted: tuple[np.ndarray, np.ndarray] | None = None
+        # Frozen lookup tables (exact types) ...
+        self.blacklist_table: PrefixMaskTable | None = None
+        self.host_keys: FrozenKeySet | None = None
+        self.alias_table: PrefixMaskTable | None = None
+        self.fault: "FaultModel | None" = None
+        # ... or the live objects, for subclasses the plane cannot freeze.
+        self.blacklist: Blacklist | None = None
+        self.truth: GroundTruth | None = None
 
     # -- construction -------------------------------------------------------
-    @staticmethod
-    def supports(truth: GroundTruth, blacklist: Blacklist) -> bool:
-        """Can this truth/blacklist pair be snapshotted exactly?
-
-        Only the concrete types the plane knows how to freeze qualify;
-        any subclass with overridden lookup behaviour keeps the object
-        path so dynamic dispatch is honoured.
-        """
-        from ..faults.ground import FaultyGroundTruth
-
-        if type(blacklist) is not Blacklist:
-            return False
-        return type(truth) in (GroundTruth, FaultyGroundTruth)
-
     @classmethod
     def build(
         cls,
@@ -133,36 +117,38 @@ class ScanPlane:
         port: int,
         loss_rate: float,
     ) -> "ScanPlane":
-        """Freeze a scan context over targets.
+        """Build a scan context over targets.
 
         ``targets`` is either a deduplicated ordered list of int
         addresses (packed here) or already-packed ``(hi, lo)`` columns
-        from the generation plane, adopted without conversion.
+        from the generation plane, adopted without conversion.  Only
+        the exact types are frozen; any subclass may override its
+        lookups, so it is kept and called per batch instead.
         """
         from ..faults.ground import FaultyGroundTruth
 
-        if isinstance(targets, tuple):
-            hi, lo = targets
-        else:
-            hi, lo = pack(targets)
-        fault = truth.fault if isinstance(truth, FaultyGroundTruth) else None
-        return cls(
-            hi,
-            lo,
-            blacklist_table=blacklist.frozen_table() if blacklist else None,
-            host_keys=truth.frozen_hosts(port),
-            # ICMPv6 pings match any aliased region regardless of its
-            # port set (the scalar find_many contract).
-            alias_table=truth.aliased.frozen_table(
-                None if port == ICMPV6 else port
-            )
-            if truth.aliased
-            else None,
-            fault=fault,
-            loss_rate=loss_rate,
-            port=port,
+        hi, lo = targets if isinstance(targets, tuple) else pack(targets)
+        plane = cls(
+            hi, lo, port=port, loss_rate=loss_rate,
             world_version=getattr(truth, "world_version", None),
         )
+        if type(blacklist) is Blacklist:
+            plane.blacklist_table = blacklist.frozen_table()
+        elif blacklist:
+            plane.blacklist = blacklist
+        if type(truth) in (GroundTruth, FaultyGroundTruth):
+            plane.host_keys = truth.frozen_hosts(port)
+            # ICMPv6 pings match any aliased region regardless of its
+            # port set (the scalar find_many contract).
+            if truth.aliased:
+                plane.alias_table = truth.aliased.frozen_table(
+                    None if port == ICMPV6 else port
+                )
+            if isinstance(truth, FaultyGroundTruth):
+                plane.fault = truth.fault
+        else:
+            plane.truth = truth
+        return plane
 
     def ensure_fresh(self, truth: GroundTruth) -> None:
         """Raise :class:`StaleWorldError` if ``truth`` mutated since build."""
@@ -177,78 +163,18 @@ class ScanPlane:
                 "the world"
             )
 
-    # -- shared-memory transport -------------------------------------------
-    def shared_payload(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Split the plane into (arrays for shm, picklable metadata)."""
-        arrays = {"targets_hi": self.hi, "targets_lo": self.lo}
-        meta: dict = {
-            "loss_rate": self.loss_rate,
-            "port": self.port,
-            "fault": self.fault,
-            "bl_lengths": [],
-            "alias_lengths": [],
-            "hosts": False,
-            "world_version": self.world_version,
-        }
-        if len(self.host_keys):
-            arrays["hosts"] = self.host_keys.keys
-            meta["hosts"] = True
-        for label, table in (
-            ("bl", self.blacklist_table),
-            ("alias", self.alias_table),
-        ):
-            if table is None:
-                continue
-            for length, _, _, keys in table.entries:
-                arrays[f"{label}_{length}"] = keys.keys
-                meta[f"{label}_lengths"].append(length)
-        return arrays, meta
-
-    @classmethod
-    def from_shared(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "ScanPlane":
-        """Rebuild a plane from shared-memory views (worker side)."""
-
-        def table(label: str) -> PrefixMaskTable | None:
-            lengths = meta[f"{label}_lengths"]
-            if not lengths:
-                return None
-            return PrefixMaskTable(
-                [
-                    (length, FrozenKeySet(arrays[f"{label}_{length}"]))
-                    for length in lengths
-                ]
-            )
-
-        host_keys = (
-            FrozenKeySet(arrays["hosts"])
-            if meta["hosts"]
-            else FrozenKeySet.from_ints(())
-        )
-        return cls(
-            arrays["targets_hi"],
-            arrays["targets_lo"],
-            blacklist_table=table("bl"),
-            host_keys=host_keys,
-            alias_table=table("alias"),
-            fault=meta["fault"],
-            loss_rate=meta["loss_rate"],
-            port=meta["port"],
-            world_version=meta.get("world_version"),
-        )
-
     # -- probing ------------------------------------------------------------
     def gather(
         self, perm: CyclicPermutation | None, start: int, stop: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One shard's target columns, in permuted probe order.
+        """One batch's target columns, in permuted probe order.
 
         The whole permuted column pair is materialised on first use:
         one big vectorised Feistel walk plus one fancy-gather beats
         thousands of small per-batch ones (the cycle-walk loop's fixed
         numpy overhead dominates at batch granularity), after which
-        every shard is a zero-copy slice.  The copy is 16 bytes per
-        target — small next to the boxed target list already held —
-        and pool workers each materialise it once at their first shard.
+        every batch is a zero-copy slice.  The copy is 16 bytes per
+        target.
         """
         if perm is None:
             return self.hi[start:stop], self.lo[start:stop]
@@ -281,15 +207,14 @@ class ScanPlane:
     ) -> list[int]:
         """Blacklist / loss / responsiveness for one column batch.
 
-        Same accounting as the object path's ``_probe_batch``; returns
-        the batch's responsive addresses (the checkpoint delta) in
-        probe order.  The batch is hashed once and the hashes are
+        Returns the batch's responsive addresses (the checkpoint delta)
+        in probe order.  The batch is hashed once and the hashes are
         reused by every exact-membership stage (``/128`` blacklist
         entries, the host table).
         """
         hashes = hash_columns(bhi, blo)
-        if self.blacklist_table is not None:
-            blocked = self.blacklist_table.match_any(bhi, blo, hashes=hashes)
+        blocked = self._blocked(bhi, blo, hashes)
+        if blocked is not None:
             count = int(blocked.sum())
             if count:
                 stats.blacklisted += count
@@ -341,9 +266,10 @@ class ScanPlane:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Non-responding, non-blacklisted targets in permuted order.
 
-        The array form of the engine's ``_pending_targets``: a pure
-        function of (targets, permutation, hits), chunked so the
-        permutation is computed batch-wise like the scan itself.
+        A pure function of (targets, permutation, hits) — the property
+        that lets a resumed run rebuild exactly the pending set an
+        uninterrupted run would carry into a retry round — chunked so
+        the permutation is computed batch-wise like the scan itself.
         """
         hit_keys = FrozenKeySet.from_ints(hits)
         keep_hi: list[np.ndarray] = []
@@ -352,14 +278,31 @@ class ScanPlane:
         for start in range(0, n, batch_size):
             bhi, blo = self.gather(perm, start, min(start + batch_size, n))
             keep = ~hit_keys.member(bhi, blo)
-            if self.blacklist_table is not None:
-                keep &= ~self.blacklist_table.match_any(bhi, blo)
+            blocked = self._blocked(bhi, blo)
+            if blocked is not None:
+                keep &= ~blocked
             keep_hi.append(bhi[keep])
             keep_lo.append(blo[keep])
         if not keep_hi:
             empty = np.empty(0, dtype=np.uint64)
             return empty, empty
         return np.concatenate(keep_hi), np.concatenate(keep_lo)
+
+    # -- lookups: frozen tables, or the live object's batch methods ---------
+    def _blocked(
+        self,
+        bhi: np.ndarray,
+        blo: np.ndarray,
+        hashes: np.ndarray | None = None,
+    ) -> np.ndarray | None:
+        """Blacklist verdict per address; None when nothing is blacklisted."""
+        if self.blacklist_table is not None:
+            return self.blacklist_table.match_any(bhi, blo, hashes=hashes)
+        if self.blacklist is not None:
+            return np.array(
+                self.blacklist.contains_many(unpack(bhi, blo)), dtype=bool
+            )
+        return None
 
     def _responsive(
         self,
@@ -369,6 +312,13 @@ class ScanPlane:
         hashes: np.ndarray | None = None,
     ) -> np.ndarray:
         """Would each probe get a response?  (Fault layer, then truth.)"""
+        if self.truth is not None:
+            return np.array(
+                self.truth.responsive_many(
+                    unpack(bhi, blo), self.port, attempt=attempt
+                ),
+                dtype=bool,
+            )
         if self.fault is not None:
             dropped = self.fault.drops_many_arr(bhi, blo, self.port, attempt)
             flags = np.zeros(len(bhi), dtype=bool)

@@ -204,8 +204,7 @@ class GroundTruth:
         """The port's host set as a frozen sorted-key table, memoised.
 
         Invalidated by :meth:`add_host` / :meth:`remove_host`; the
-        backing array is an immutable snapshot suitable for sharing
-        with scan workers.
+        backing array is an immutable snapshot.
         """
         table = self._frozen_hosts.get(port)
         if table is None:

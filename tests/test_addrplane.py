@@ -3,13 +3,10 @@
 Covers the hi/lo column codec (round-trips through ints and
 ``IPv6Addr``), the frozen lookup tables against their scalar
 counterparts, the vectorised loss/fault PRFs against the scalar
-reference forms, the shared-memory transport (O(1) shard payloads, no
-``/dev/shm`` leaks even through injected crashes), and end-to-end
-hit-for-hit / stat-for-stat parity of the array plane against the
-sequential reference path.
+reference forms, and end-to-end hit-for-hit / stat-for-stat parity of
+the array plane against the sequential reference path.
 """
 
-import pickle
 import random
 
 import numpy as np
@@ -22,9 +19,7 @@ from repro.faults import (
     CompositeFault,
     FaultyGroundTruth,
     FlakyHosts,
-    InjectedWorkerCrash,
     RateLimiter,
-    WorkerCrash,
     compose,
 )
 from repro.ipv6.addrplane import (
@@ -43,8 +38,7 @@ from repro.ipv6.address import IPv6Addr
 from repro.ipv6.prefix import Prefix
 from repro.scanner.blacklist import Blacklist
 from repro.scanner.engine import ScanConfig, Scanner, _loss_prf
-from repro.scanner.plane import ScanPlane, loss_prf_arr
-from repro.scanner.shm import SEGMENT_PREFIX, SharedArrays
+from repro.scanner.plane import loss_prf_arr
 from repro.simnet.aliasing import AliasedRegionSet
 from repro.simnet.ground_truth import GroundTruth
 from repro.telemetry import JsonlSink, Telemetry
@@ -239,17 +233,18 @@ class TestScanPlaneParity:
     def test_matches_reference(self, workers, retries, faulty):
         truth, targets, blacklist = _fault_world(faulty=faulty)
 
-        def scan(config):
-            scanner = Scanner(
+        def scanner(config):
+            return Scanner(
                 truth, blacklist=blacklist, loss_rate=0.15, rng_seed=9,
                 config=config,
             )
-            return scanner.scan(targets)
 
-        reference = scan(ScanConfig(use_batched=False, retries=retries))
-        arrays = scan(
-            ScanConfig(batch_size=64, workers=workers, retries=retries)
+        reference = scanner(ScanConfig(retries=retries))._scan_reference(
+            targets
         )
+        arrays = scanner(
+            ScanConfig(batch_size=64, workers=workers, retries=retries)
+        ).scan(targets)
         assert arrays.hits == reference.hits
         assert arrays.stats == reference.stats
 
@@ -265,72 +260,3 @@ class TestScanPlaneParity:
             ).scan(targets)
         assert observed.hits == plain.hits
         assert observed.stats == plain.stats
-
-    def test_plane_gated_to_exact_types(self):
-        class CustomTruth(GroundTruth):
-            pass
-
-        truth = GroundTruth({80: set()}, AliasedRegionSet())
-        assert ScanPlane.supports(truth, Blacklist())
-        assert not ScanPlane.supports(
-            CustomTruth({80: set()}, AliasedRegionSet()), Blacklist()
-        )
-
-
-class TestSharedMemoryTransport:
-    def test_round_trip(self):
-        arrays = {
-            "a": np.arange(10, dtype=np.uint64),
-            "keys": np.sort(fuse_ints([3, 1 << 100, 7])),
-        }
-        shared = SharedArrays.create(arrays)
-        try:
-            attached = SharedArrays.attach(shared.spec)
-            assert np.array_equal(attached.arrays["a"], arrays["a"])
-            assert np.array_equal(attached.arrays["keys"], arrays["keys"])
-            assert not attached.arrays["a"].flags.writeable
-            attached.close()
-        finally:
-            shared.close()
-
-    def test_shard_payload_is_o1_in_target_count(self):
-        """Worker dispatch must not scale with the target list."""
-        truth, _, blacklist = _fault_world()
-        rng = random.Random(0)
-
-        def meta_size(n):
-            targets = [rng.getrandbits(128) for _ in range(n)]
-            plane = ScanPlane.build(truth, blacklist, targets, 80, 0.1)
-            _, meta = plane.shared_payload()
-            return len(pickle.dumps(meta))
-
-        small, large = meta_size(50), meta_size(5000)
-        assert large == small  # metadata is layout only, never targets
-        # and a shard task itself is three small integers
-        assert len(pickle.dumps((7, 123_456, 127_552))) < 64
-
-    def test_no_shm_leak_after_pooled_scan(self):
-        truth, targets, blacklist = _fault_world()
-        Scanner(
-            truth, blacklist=blacklist, loss_rate=0.1, rng_seed=1,
-            config=ScanConfig(batch_size=32, workers=2),
-        ).scan(targets)
-        assert not list(self._segments())
-
-    def test_no_shm_leak_after_injected_worker_crash(self):
-        truth, targets, blacklist = _fault_world()
-        with pytest.raises(InjectedWorkerCrash):
-            Scanner(
-                truth, blacklist=blacklist, loss_rate=0.1, rng_seed=1,
-                config=ScanConfig(batch_size=32, workers=2),
-            ).scan(targets, crash=WorkerCrash(at_batch=3))
-        assert not list(self._segments())
-
-    @staticmethod
-    def _segments():
-        import pathlib
-
-        shm_dir = pathlib.Path("/dev/shm")
-        if not shm_dir.is_dir():  # pragma: no cover - non-Linux
-            return
-        yield from shm_dir.glob(f"{SEGMENT_PREFIX}*")

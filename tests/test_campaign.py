@@ -1,5 +1,10 @@
 """Tests for the campaign layer (pipeline object + parity guarantees)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import experiments as ex
@@ -70,6 +75,18 @@ class TestCampaignParity:
         assert outcome.clean_hits == result.clean_hits
         assert outcome.probes_sent == result.probes_sent
         assert outcome.targets_generated == result.targets_generated
+
+    @pytest.mark.parametrize("batch_size", [32, 4096])
+    def test_run_matches_reference_at_any_batch_size(self, batch_size):
+        context = _context()
+        scan, report = _reference(context, _spec())
+        result = _campaign(
+            context,
+            _spec(scan_config=ScanConfig(batch_size=batch_size, retries=1)),
+        ).run()
+        assert result.raw_hits == scan.hits
+        assert result.scan.stats == scan.stats
+        assert result.clean_hits == report.clean_hits
 
     def test_stepwise_matches_monolithic(self):
         context = _context()
@@ -205,3 +222,32 @@ class TestCampaignTelemetry:
             campaign.finish()
 
         assert counters(stepwise) == counters(lambda c: c.run())
+
+
+class TestGenerationPool:
+    def test_pooled_campaign_leaves_stderr_and_shm_clean(self):
+        """gen_workers=2 at a budget whose columns exceed 64 KiB/prefix.
+
+        Worker columns ride back in the result pickle, so nothing is
+        published to ``/dev/shm`` and the multiprocessing resource
+        tracker (a separate process, hence the subprocess) has nothing
+        to complain about.
+        """
+        script = (
+            "from repro.analysis import experiments as ex\n"
+            "ex.run_full_scan(ex.standard_context(0.05), 5000,"
+            " gen_workers=2, dealias_hits=False)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "KeyError" not in proc.stderr
+        shm = pathlib.Path("/dev/shm")
+        if shm.is_dir():
+            assert not list(shm.glob("repro-*"))

@@ -29,12 +29,16 @@ def _world(n_hosts=200, n_misses=400, seed=11):
     return truth, targets
 
 
-def _scan(truth, targets, *, retries=0, workers=1, loss=0.2, **kwargs):
+def _scan(
+    truth, targets, *, retries=0, workers=1, batch_size=32, loss=0.2, **kwargs
+):
     scanner = Scanner(
         truth,
         loss_rate=loss,
         rng_seed=5,
-        config=ScanConfig(batch_size=32, workers=workers, retries=retries),
+        config=ScanConfig(
+            batch_size=batch_size, workers=workers, retries=retries
+        ),
     )
     return scanner.scan(targets, **kwargs)
 
@@ -172,6 +176,40 @@ class TestResumeParity:
         assert resumed.hits == baseline.hits
         assert resumed.stats == baseline.stats
 
+    @pytest.mark.parametrize("crash_round", [0, 2])
+    @pytest.mark.parametrize("batch_size", [32, 4096])
+    def test_crash_resume_bit_identical_at_any_batch_size(
+        self, tmp_path, batch_size, crash_round
+    ):
+        # Enough targets for several batches at the largest size; the
+        # round-0 crash lands mid-round, the retry crash on the first
+        # batch of the last retry round.
+        truth, targets = _world(n_hosts=3000, n_misses=7000)
+        crash_batch = len(targets) // batch_size // 2 if crash_round == 0 else 0
+        baseline = _scan(truth, targets, retries=2, batch_size=batch_size)
+
+        path = tmp_path / "ckpt.jsonl"
+        sink = JsonlSink(path)
+        with pytest.raises(InjectedWorkerCrash):
+            _scan(
+                truth, targets, retries=2, batch_size=batch_size,
+                checkpoint=ScanCheckpointer(sink, every_batches=1),
+                crash=WorkerCrash(at_batch=crash_batch, at_round=crash_round),
+            )
+        sink.close()
+
+        state = load_scan_checkpoint(path)
+        assert state is not None and not state.complete
+        assert state.round == crash_round
+        sink = JsonlSink(path)
+        resumed = _scan(
+            truth, targets, retries=2, batch_size=batch_size,
+            checkpoint=ScanCheckpointer(sink, every_batches=1), resume=state,
+        )
+        sink.close()
+        assert resumed.hits == baseline.hits
+        assert resumed.stats == baseline.stats
+
     def test_crash_in_retry_round_resumes(self, tmp_path):
         truth, targets = _world()
         baseline = _scan(truth, targets, retries=2)
@@ -286,16 +324,6 @@ class TestResumeValidation:
         state = self._crashed_state(tmp_path, truth, targets)
         with pytest.raises(ValueError, match="retries"):
             _scan(truth, targets, retries=3, resume=state)
-
-    def test_reference_path_rejects_checkpointing(self, tmp_path):
-        truth, targets = _world(n_hosts=10, n_misses=10)
-        scanner = Scanner(
-            truth, rng_seed=0, config=ScanConfig(use_batched=False)
-        )
-        sink = JsonlSink(tmp_path / "ckpt.jsonl")
-        with pytest.raises(ValueError):
-            scanner.scan(targets, checkpoint=ScanCheckpointer(sink))
-        sink.close()
 
     def test_key_stream_unshifted_by_resume(self, tmp_path):
         # A scanner that resumes one scan then runs a second scan must

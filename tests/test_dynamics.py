@@ -16,8 +16,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.pipeline import Campaign, CampaignSpec
-from repro.scanner import ScanConfig, Scanner, StaleWorldError
+from repro.faults.ground import FaultyGroundTruth
+from repro.faults.models import BurstyLoss
+from repro.ipv6.prefix import Prefix
+from repro.scanner import Blacklist, ScanConfig, Scanner, StaleWorldError
+from repro.scanner.checkpoint import ScanCheckpointer
 from repro.scanner.plane import ScanPlane
+from repro.telemetry.sinks import JsonlSink
 from repro.simnet import default_internet
 from repro.simnet.dynamics import ChurnConfig, DynamicWorld, world_at
 from repro.simnet.worldfile import save_internet
@@ -167,9 +172,7 @@ class TestCrossProcessDeterminism:
         for workers in (1, 2):
             scanner = Scanner(
                 world.truth,
-                config=ScanConfig(
-                    use_batched=True, batch_size=64, workers=workers
-                ),
+                config=ScanConfig(batch_size=64, workers=workers),
                 rng_seed=3,
             )
             results[workers] = scanner.scan(targets, port=80)
@@ -267,7 +270,7 @@ class TestStaleWorldGuard:
     def _execution(self, world, targets):
         scanner = Scanner(
             world.truth,
-            config=ScanConfig(use_batched=True, batch_size=32),
+            config=ScanConfig(batch_size=32),
             rng_seed=3,
         )
         return scanner.start_execution(targets, 80)
@@ -282,33 +285,7 @@ class TestStaleWorldGuard:
         with pytest.raises(StaleWorldError):
             execution.step()
 
-    def test_object_path_raises_after_advance(self):
-        from repro.faults.ground import FaultyGroundTruth
-        from repro.faults.models import BurstyLoss
-
-        class OpaqueTruth(FaultyGroundTruth):
-            """Subclass unknown to ScanPlane.supports -> object path."""
-
-        world = _world()
-        dyn = DynamicWorld(world, churn_seed=CHURN_SEED)
-        overlay = OpaqueTruth(world.truth, BurstyLoss(seed=1, loss_bad=0.0))
-        scanner = Scanner(
-            overlay,
-            config=ScanConfig(use_batched=True, batch_size=32),
-            rng_seed=3,
-        )
-        execution = scanner.start_execution(
-            sorted(world.all_active_hosts())[:64], 80
-        )
-        assert execution.plane is None
-        assert execution.step()
-        dyn.advance_to(1)
-        with pytest.raises(StaleWorldError):
-            execution.step()
-
-    def test_plane_ensure_fresh_and_shared_payload_token(self):
-        from repro.scanner.blacklist import Blacklist
-
+    def test_plane_ensure_fresh_token(self):
         world = _world()
         dyn = DynamicWorld(world, churn_seed=CHURN_SEED)
         targets = sorted(world.all_active_hosts())[:64]
@@ -317,14 +294,9 @@ class TestStaleWorldGuard:
         )
         assert plane.world_version == world.truth.world_version
         plane.ensure_fresh(world.truth)
-        arrays, meta = plane.shared_payload()
-        rebuilt = ScanPlane.from_shared(meta, arrays)
-        assert rebuilt.world_version == plane.world_version
         dyn.advance_to(2)
         with pytest.raises(StaleWorldError):
             plane.ensure_fresh(world.truth)
-        with pytest.raises(StaleWorldError):
-            rebuilt.ensure_fresh(world.truth)
 
     def test_mid_campaign_mutation_regression(self):
         """A stepped campaign spanning an epoch advance fails loudly."""
@@ -337,7 +309,7 @@ class TestStaleWorldGuard:
         groups = group_by_routed_prefix(seeds.addresses(), world.bgp)
         spec = CampaignSpec(
             budget=200, dealias=False,
-            scan_config=ScanConfig(use_batched=True, batch_size=32),
+            scan_config=ScanConfig(batch_size=32),
         )
         campaign = Campaign(world.truth, world.bgp, groups, spec)
         campaign.begin()
@@ -360,6 +332,75 @@ class TestStaleWorldGuard:
         dyn.advance_to(1)
         assert not execution.step()  # finished stays finished
         assert execution.result() is result
+
+
+class _CountingTruth(FaultyGroundTruth):
+    """A truth subclass with an overridden batch lookup (not freezable)."""
+
+    def __init__(self, base, fault):
+        super().__init__(base, fault)
+        self.batch_calls = 0
+
+    def responsive_many(self, addrs, port=80, attempt=0):
+        self.batch_calls += 1
+        return super().responsive_many(addrs, port, attempt)
+
+
+class _CountingBlacklist(Blacklist):
+    """A blacklist subclass with an overridden batch lookup."""
+
+    def __init__(self, prefixes=()):
+        self.batch_calls = 0
+        super().__init__(prefixes)
+
+    def contains_many(self, addrs):
+        self.batch_calls += 1
+        return super().contains_many(addrs)
+
+
+class TestSubclassAdapter:
+    """The plane serves subclasses through their own batch methods."""
+
+    @pytest.mark.parametrize("subclassed", ["truth", "blacklist"])
+    def test_matches_reference_then_refuses_stale_world(
+        self, tmp_path, subclassed
+    ):
+        world = _world()
+        dyn = DynamicWorld(world, churn_seed=CHURN_SEED)
+        hosts = sorted(world.all_active_hosts())[:300]
+        # Neighbours of real hosts: mostly misses, so retries have work.
+        targets = hosts + [h ^ 0xFFFF for h in hosts]
+        blocked = [Prefix(t, 128) for t in targets[::25]]
+        if subclassed == "truth":
+            truth = _CountingTruth(world.truth, BurstyLoss(seed=1, loss_bad=0.0))
+            blacklist = Blacklist(blocked)
+            subject = truth
+        else:
+            truth = world.truth
+            blacklist = _CountingBlacklist(blocked)
+            subject = blacklist
+
+        def scanner():
+            return Scanner(
+                truth, blacklist=blacklist, loss_rate=0.2, rng_seed=3,
+                config=ScanConfig(batch_size=32, retries=2),
+            )
+
+        reference = scanner()._scan_reference(targets)
+        subject.batch_calls = 0
+        sink = JsonlSink(tmp_path / "ckpt.jsonl")
+        planed = scanner().scan(targets, checkpoint=ScanCheckpointer(sink))
+        sink.close()
+        assert subject.batch_calls > 0  # the override was dispatched to
+        assert reference.hits and reference.stats.retransmits
+        assert planed.hits == reference.hits
+        assert planed.stats == reference.stats
+
+        execution = scanner().start_execution(targets, 80)
+        assert execution.step()
+        dyn.advance_to(1)
+        with pytest.raises(StaleWorldError):
+            execution.step()
 
 
 class TestWorldAt:

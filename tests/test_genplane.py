@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.scanner.engine as engine_mod
-from repro.analysis.grouping import run_per_prefix
+from repro.campaign.generate import generate_per_prefix
 from repro.core.sixgen import run_6gen
 from repro.datasets.rangelist import expand_ranges
 from repro.ipv6.addrplane import ColumnDeduper, dedupe_columns, pack, unpack
@@ -172,8 +172,8 @@ def _prefix_groups():
 class TestThreeWayGenerationParity:
     def test_scalar_column_parallel_agree(self):
         groups = _prefix_groups()
-        serial = run_per_prefix(groups, 150)
-        pooled = run_per_prefix(groups, 150, processes=2)
+        serial = generate_per_prefix(groups, 150)
+        pooled = generate_per_prefix(groups, 150, processes=2)
         assert set(serial.runs) == set(pooled.runs)
         assert not serial.failures and not pooled.failures
         for prefix in serial.runs:
@@ -191,7 +191,7 @@ class TestThreeWayGenerationParity:
 
     def test_streamed_chunks_cover_scalar_stream(self):
         groups = _prefix_groups()
-        run = run_per_prefix(groups, 150)
+        run = generate_per_prefix(groups, 150)
         streamed = [
             a for hi, lo in run.iter_target_columns()
             for a in _column_ints(hi, lo)

@@ -1,10 +1,7 @@
 """Tests for per-prefix 6Gen orchestration and budget policies."""
 
-from repro.analysis.grouping import (
-    run_per_prefix,
-    seed_proportional_budget,
-    static_budget,
-)
+from repro.analysis.grouping import seed_proportional_budget, static_budget
+from repro.campaign.generate import generate_per_prefix
 from repro.ipv6.prefix import Prefix
 
 from conftest import addr
@@ -27,29 +24,29 @@ class TestBudgetPolicies:
 
 class TestRunPerPrefix:
     def test_runs_each_prefix(self):
-        run = run_per_prefix(_groups(), budget=20)
+        run = generate_per_prefix(_groups(), budget=20)
         assert len(run.runs) == 2
         for prefix, prefix_run in run.runs.items():
             assert prefix_run.budget == 20
             assert prefix_run.result.seed_count == len(prefix_run.seeds)
 
     def test_all_targets_union(self):
-        run = run_per_prefix(_groups(), budget=20)
+        run = generate_per_prefix(_groups(), budget=20)
         targets = run.all_targets()
         for prefix_run in run.runs.values():
             assert prefix_run.result.target_set() <= targets
 
     def test_new_targets_excludes_seeds(self):
-        run = run_per_prefix(_groups(), budget=20)
+        run = generate_per_prefix(_groups(), budget=20)
         all_seeds = {s for seeds in _groups().values() for s in seeds}
         assert not (run.new_targets() & all_seeds)
 
     def test_min_seeds_filter(self):
-        run = run_per_prefix(_groups(), budget=20, min_seeds=3)
+        run = generate_per_prefix(_groups(), budget=20, min_seeds=3)
         assert len(run.runs) == 1
 
     def test_budget_policy_applied(self):
-        run = run_per_prefix(
+        run = generate_per_prefix(
             _groups(), budget=5, budget_policy=seed_proportional_budget
         )
         budgets = {p: r.budget for p, r in run.runs.items()}
@@ -57,18 +54,18 @@ class TestRunPerPrefix:
         assert budgets[Prefix.parse("2600::/32")] == 10
 
     def test_totals(self):
-        run = run_per_prefix(_groups(), budget=20)
+        run = generate_per_prefix(_groups(), budget=20)
         assert run.total_seed_count() == 8
         assert run.total_budget_used() <= 40
 
     def test_results_view(self):
-        run = run_per_prefix(_groups(), budget=20)
+        run = generate_per_prefix(_groups(), budget=20)
         results = run.results()
         assert set(results) == set(_groups())
 
     def test_process_pool_matches_serial(self):
-        serial = run_per_prefix(_groups(), budget=20)
-        parallel = run_per_prefix(_groups(), budget=20, processes=2)
+        serial = generate_per_prefix(_groups(), budget=20)
+        parallel = generate_per_prefix(_groups(), budget=20, processes=2)
         assert set(serial.runs) == set(parallel.runs)
         for prefix in serial.runs:
             assert (
@@ -92,7 +89,7 @@ class TestFailureIsolation:
 
         bad = Prefix.parse("2600::/32")
         with pytest.warns(RuntimeWarning, match="failed twice"):
-            run = run_per_prefix(
+            run = generate_per_prefix(
                 _groups(), budget=20, budget_policy=_poison_policy(bad)
             )
         assert bad in run.failures
@@ -108,7 +105,7 @@ class TestFailureIsolation:
 
         bad = Prefix.parse("2600::/32")
         with pytest.raises(ValueError):
-            run_per_prefix(
+            generate_per_prefix(
                 _groups(), budget=20, budget_policy=_poison_policy(bad),
                 isolate_failures=False,
             )
@@ -118,7 +115,7 @@ class TestFailureIsolation:
 
         bad = Prefix.parse("2600::/32")
         with pytest.warns(RuntimeWarning, match="failed twice"):
-            run = run_per_prefix(
+            run = generate_per_prefix(
                 _groups(), budget=20, budget_policy=_poison_policy(bad),
                 processes=2,
             )
@@ -134,7 +131,7 @@ class TestFailureIsolation:
         bad = Prefix.parse("2600::/32")
         sink = MemorySink()
         with pytest.warns(RuntimeWarning):
-            run_per_prefix(
+            generate_per_prefix(
                 _groups(), budget=20, budget_policy=_poison_policy(bad),
                 progress_sink=sink,
             )
@@ -145,5 +142,5 @@ class TestFailureIsolation:
         assert failed["prefix"] == str(bad)
 
     def test_no_failures_leaves_failures_empty(self):
-        run = run_per_prefix(_groups(), budget=20)
+        run = generate_per_prefix(_groups(), budget=20)
         assert run.failures == {}

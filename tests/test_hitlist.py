@@ -247,7 +247,7 @@ class TestDeltaCampaign:
         groups = group_by_routed_prefix(seeds.addresses(), world.bgp)
         spec = CampaignSpec(
             budget=300,
-            scan_config=ScanConfig(use_batched=True, batch_size=64),
+            scan_config=ScanConfig(batch_size=64),
         )
         result = Campaign(world.truth, world.bgp, groups, spec).run()
         store = LivingHitlist(path=path)
@@ -287,9 +287,7 @@ class TestDeltaCampaign:
         for workers in (1, 2):
             wspec = replace(
                 spec,
-                scan_config=ScanConfig(
-                    use_batched=True, batch_size=64, workers=workers
-                ),
+                scan_config=ScanConfig(batch_size=64, workers=workers),
             )
             delta = DeltaCampaign(store, world.bgp, wspec)
             plan = delta.plan(2)
@@ -359,7 +357,7 @@ class TestCampaignTargetsOverride:
         targets = _cols(*sorted(world.all_active_hosts())[:200])
         spec = CampaignSpec(
             budget=100,
-            scan_config=ScanConfig(use_batched=True, batch_size=32),
+            scan_config=ScanConfig(batch_size=32),
         )
         mono = Campaign(
             world.truth, world.bgp, {}, spec, targets=targets

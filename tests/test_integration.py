@@ -6,7 +6,7 @@ paper's qualitative findings hold in the reproduction.
 
 import pytest
 
-from repro.analysis.grouping import run_per_prefix
+from repro.campaign.generate import generate_per_prefix
 from repro.core.sixgen import run_6gen
 from repro.scanner.dealias import dealias
 from repro.scanner.engine import Scanner
@@ -17,7 +17,7 @@ from repro.simnet.bgp import group_by_routed_prefix
 def pipeline(tiny_internet_module, tiny_seeds_module):
     internet, seeds = tiny_internet_module, tiny_seeds_module
     groups = group_by_routed_prefix(seeds.addresses(), internet.bgp)
-    run = run_per_prefix(groups, budget=2000)
+    run = generate_per_prefix(groups, budget=2000)
     scanner = Scanner(internet.truth)
     scan = scanner.scan(run.all_targets())
     report = dealias(scan.hits, scanner, internet.bgp)

@@ -135,7 +135,7 @@ class TestScanConfig:
         config = ScanConfig()
         assert config.batch_size == 4096
         assert config.workers == 1
-        assert config.use_batched
+        assert config.retries == 0
 
     def test_rejects_bad_values(self):
         from repro.scanner.engine import ScanConfig
@@ -175,7 +175,7 @@ def _parity_world():
 
 
 class TestScanParity:
-    """The batched/sharded paths must exactly match the reference scan."""
+    """The array plane must exactly match the reference scan."""
 
     def test_batched_matches_reference(self):
         from repro.scanner.engine import ScanConfig
@@ -184,8 +184,7 @@ class TestScanParity:
         for loss in (0.0, 0.25):
             ref = Scanner(
                 truth, blacklist=bl, loss_rate=loss, rng_seed=5,
-                config=ScanConfig(use_batched=False),
-            ).scan(targets)
+            )._scan_reference(targets)
             bat = Scanner(
                 truth, blacklist=bl, loss_rate=loss, rng_seed=5,
                 config=ScanConfig(batch_size=128),
@@ -196,11 +195,12 @@ class TestScanParity:
     def test_pool_matches_reference(self):
         from repro.scanner.engine import ScanConfig
 
+        # ScanConfig.workers only sizes the dealias pool; the scan must
+        # not depend on it.
         truth, bl, targets = _parity_world()
         ref = Scanner(
             truth, blacklist=bl, loss_rate=0.2, rng_seed=5,
-            config=ScanConfig(use_batched=False),
-        ).scan(targets)
+        )._scan_reference(targets)
         pooled = Scanner(
             truth, blacklist=bl, loss_rate=0.2, rng_seed=5,
             config=ScanConfig(batch_size=128, workers=2),
@@ -212,9 +212,9 @@ class TestScanParity:
         from repro.scanner.engine import ScanConfig
 
         truth, bl, targets = _parity_world()
-        ref = Scanner(
-            truth, blacklist=bl, rng_seed=5, config=ScanConfig(use_batched=False)
-        ).scan(targets, shuffle=False)
+        ref = Scanner(truth, blacklist=bl, rng_seed=5)._scan_reference(
+            targets, shuffle=False
+        )
         bat = Scanner(
             truth, blacklist=bl, rng_seed=5, config=ScanConfig(batch_size=64)
         ).scan(targets, shuffle=False)
@@ -322,16 +322,19 @@ class TestRetryScan:
         from repro.scanner.engine import ScanConfig
 
         truth, bl, targets = _parity_world()
-        results = []
-        for config in (
-            ScanConfig(use_batched=False, retries=2),
-            ScanConfig(batch_size=64, retries=2),
-            ScanConfig(batch_size=64, workers=2, retries=2),
-        ):
-            scanner = Scanner(
+
+        def scanner(config):
+            return Scanner(
                 truth, blacklist=bl, loss_rate=0.3, rng_seed=5, config=config
             )
-            results.append(scanner.scan(targets))
+
+        results = [scanner(ScanConfig(retries=2))._scan_reference(targets)]
+        for config in (
+            ScanConfig(batch_size=64, retries=2),
+            ScanConfig(batch_size=4096, retries=2),
+            ScanConfig(batch_size=64, workers=2, retries=2),
+        ):
+            results.append(scanner(config).scan(targets))
         first = results[0]
         for other in results[1:]:
             assert other.hits == first.hits

@@ -334,7 +334,7 @@ class TestEpochBoundaries:
     def _spec(self):
         return CampaignSpec(
             budget=300,
-            scan_config=ScanConfig(use_batched=True, batch_size=64),
+            scan_config=ScanConfig(batch_size=64),
         )
 
     def test_same_epoch_pause_resume_is_bit_identical(self):

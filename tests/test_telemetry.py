@@ -464,38 +464,40 @@ class TestScanParity:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_identical_with_and_without_telemetry(self, workers):
         truth, blacklist, targets = _scan_world()
-        config = ScanConfig(workers=workers)
-        plain = Scanner(
-            truth, blacklist=blacklist, loss_rate=0.1, rng_seed=3,
-            config=config,
-        ).scan(targets)
-        instrumented_tele = Telemetry(MemorySink())
-        instrumented = Scanner(
-            truth, blacklist=blacklist, loss_rate=0.1, rng_seed=3,
-            config=config, telemetry=instrumented_tele,
-        ).scan(targets)
-        assert instrumented.hits == plain.hits
-        assert instrumented.stats == plain.stats
-        counters = instrumented_tele.snapshot().counters
-        assert counters["scan.probes_sent"] == plain.stats.probes_sent
-        assert counters["scan.hits"] == len(plain.hits)
+        for batch_size in (32, 4096):
+            config = ScanConfig(workers=workers, batch_size=batch_size)
+            plain = Scanner(
+                truth, blacklist=blacklist, loss_rate=0.1, rng_seed=3,
+                config=config,
+            ).scan(targets)
+            instrumented_tele = Telemetry(MemorySink())
+            instrumented = Scanner(
+                truth, blacklist=blacklist, loss_rate=0.1, rng_seed=3,
+                config=config, telemetry=instrumented_tele,
+            ).scan(targets)
+            assert instrumented.hits == plain.hits
+            assert instrumented.stats == plain.stats
+            counters = instrumented_tele.snapshot().counters
+            assert counters["scan.probes_sent"] == plain.stats.probes_sent
+            assert counters["scan.hits"] == len(plain.hits)
 
     def test_counters_identical_across_worker_counts(self):
         truth, blacklist, targets = _scan_world()
 
-        def run(workers):
+        def run(config):
             tele = Telemetry(MemorySink())
             Scanner(
                 truth, blacklist=blacklist, loss_rate=0.1, rng_seed=3,
-                config=ScanConfig(workers=workers), telemetry=tele,
+                config=config, telemetry=tele,
             ).scan(targets)
             counters = tele.snapshot().counters
-            # batch/merge bookkeeping legitimately differs per layout
+            # the batch count legitimately differs per batch size
             counters.pop("scan.batches", None)
-            counters.pop("scan.worker_merges", None)
             return counters
 
-        assert run(1) == run(2)
+        baseline = run(ScanConfig())
+        assert run(ScanConfig(workers=2)) == baseline
+        assert run(ScanConfig(batch_size=32)) == baseline
 
     def test_scan_summary_event_emitted(self):
         truth, blacklist, targets = _scan_world()
