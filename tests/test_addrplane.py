@@ -38,7 +38,7 @@ from repro.ipv6.address import IPv6Addr
 from repro.ipv6.prefix import Prefix
 from repro.scanner.blacklist import Blacklist
 from repro.scanner.engine import ScanConfig, Scanner, _loss_prf
-from repro.scanner.plane import loss_prf_arr
+from repro.scanner.plane import ScanPlane, loss_prf_arr
 from repro.simnet.aliasing import AliasedRegionSet
 from repro.simnet.ground_truth import GroundTruth
 from repro.telemetry import JsonlSink, Telemetry
@@ -260,3 +260,26 @@ class TestScanPlaneParity:
             ).scan(targets)
         assert observed.hits == plain.hits
         assert observed.stats == plain.stats
+
+    def test_plane_gated_to_exact_types(self):
+        """Only the exact types are frozen; subclasses stay live objects."""
+
+        class CustomTruth(GroundTruth):
+            pass
+
+        class CustomBlacklist(Blacklist):
+            pass
+
+        blocked = [Prefix(1 << 64, 128)]
+        exact = ScanPlane.build(
+            GroundTruth({80: set()}, AliasedRegionSet()),
+            Blacklist(blocked), [1], 80, 0.0,
+        )
+        assert exact.host_keys is not None and exact.truth is None
+        assert exact.blacklist_table is not None and exact.blacklist is None
+        truth = CustomTruth({80: set()}, AliasedRegionSet())
+        blacklist = CustomBlacklist(blocked)
+        custom = ScanPlane.build(truth, blacklist, [1], 80, 0.0)
+        assert custom.host_keys is None and custom.truth is truth
+        assert custom.blacklist_table is None
+        assert custom.blacklist is blacklist

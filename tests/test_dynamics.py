@@ -285,6 +285,25 @@ class TestStaleWorldGuard:
         with pytest.raises(StaleWorldError):
             execution.step()
 
+    def test_object_path_raises_after_advance(self):
+        class OpaqueTruth(FaultyGroundTruth):
+            """Subclass the plane cannot freeze -> kept as a live object."""
+
+        world = _world()
+        dyn = DynamicWorld(world, churn_seed=CHURN_SEED)
+        overlay = OpaqueTruth(world.truth, BurstyLoss(seed=1, loss_bad=0.0))
+        scanner = Scanner(
+            overlay, config=ScanConfig(batch_size=32), rng_seed=3
+        )
+        execution = scanner.start_execution(
+            sorted(world.all_active_hosts())[:64], 80
+        )
+        assert execution.plane.truth is overlay
+        assert execution.step()
+        dyn.advance_to(1)
+        with pytest.raises(StaleWorldError):
+            execution.step()
+
     def test_plane_ensure_fresh_token(self):
         world = _world()
         dyn = DynamicWorld(world, churn_seed=CHURN_SEED)
