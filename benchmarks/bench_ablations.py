@@ -6,6 +6,7 @@ and/or outcome on the same seed sets.
 """
 
 from repro.analysis import experiments as ex
+from repro.core.candidates import SeedMatrix, find_candidates_python
 from repro.core.sixgen import run_6gen
 from repro.telemetry.timer import time_call
 
@@ -50,26 +51,38 @@ class TestGrowthCachingAblation:
         assert t_naive >= t_cached * 0.8  # caching never meaningfully slower
 
 
+def _candidate_ranges(count):
+    """A seed pool and every cluster range a 6Gen run over it produces."""
+    seeds = _seed_pool(count)
+    result = run_6gen(seeds, 2_000)
+    return sorted(set(seeds)), [c.range for c in result.clusters]
+
+
 class TestSeedMatrixAblation:
     """§5.5 analogue: vectorised candidate search vs pure Python."""
 
     def test_numpy_runtime(self, benchmark):
-        seeds = _seed_pool(200)
-        benchmark(lambda: run_6gen(seeds, 2_000, use_seed_matrix=True))
+        seeds, ranges = _candidate_ranges(200)
+        matrix = SeedMatrix(seeds)
+        benchmark(
+            lambda: [matrix.min_positive_candidates(r) for r in ranges]
+        )
 
     def test_python_runtime(self, benchmark):
-        seeds = _seed_pool(200)
+        seeds, ranges = _candidate_ranges(200)
         benchmark.pedantic(
-            lambda: run_6gen(seeds, 2_000, use_seed_matrix=False),
+            lambda: [find_candidates_python(r, seeds) for r in ranges],
             rounds=1,
             iterations=1,
         )
 
     def test_identical_output(self):
-        seeds = _seed_pool(120)
-        fast = run_6gen(seeds, 1_000, use_seed_matrix=True)
-        slow = run_6gen(seeds, 1_000, use_seed_matrix=False)
-        assert {c.range for c in fast.clusters} == {c.range for c in slow.clusters}
+        seeds, ranges = _candidate_ranges(120)
+        matrix = SeedMatrix(seeds)
+        for range_ in ranges:
+            assert matrix.min_positive_candidates(range_) == (
+                find_candidates_python(range_, seeds)
+            )
 
 
 class TestBudgetLedgerAblation:

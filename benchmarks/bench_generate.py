@@ -149,9 +149,9 @@ def check_gen_workers(telemetry: Telemetry = NULL_TELEMETRY) -> dict:
     """Serial vs gen_workers 1/2 full pipelines must be bit-identical.
 
     A smaller budget keeps this check fast; it exercises the complete
-    path — parallel per-prefix generation, shared-memory column
-    transport, column streaming into the scanner — against the serial
-    reference, comparing hits *and* stats.
+    path — parallel per-prefix generation, columns returned in the
+    worker's result pickle, column streaming into the scanner — against
+    the serial run, comparing hits *and* stats.
     """
     context = ex.standard_context(SCALE)
     groups = {p: context.groups[p] for p in sorted(context.groups)[:16]}

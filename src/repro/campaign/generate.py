@@ -9,6 +9,7 @@ pipeline calls it directly as its first stage; targets leave as packed
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Mapping, Sequence
 
@@ -23,26 +24,40 @@ from ..analysis.grouping import (
 )
 
 
-def _run_one_columns(
-    args: tuple[Prefix, list[int], int, bool, str, int | None],
-) -> tuple[Prefix, list[int], int, SixGenResult]:
-    """Pool worker: run 6Gen and materialise the packed target columns.
+def _run_prefix(
+    item: tuple[Prefix, list[int], int, bool, str, int | None],
+    telemetry: Telemetry | None = None,
+) -> SixGenResult:
+    """Run 6Gen on one prefix and materialise its packed target columns.
 
-    The expensive part of a prefix run after clustering — expanding the
-    winning ranges into concrete addresses — happens *here*, in the
-    worker, so it parallelises with the other prefixes instead of
-    serialising in the parent.  The result is stripped of its boxed-int
-    target set before pickling; the columns (two raw uint64 buffers,
-    about 160 KB per prefix at a 10 k budget) ride back in the result
-    pickle.
+    The one per-prefix worker, run in-process or in a pool process.
+    Expanding the winning ranges into concrete addresses happens here,
+    so in a pool it parallelises with the other prefixes instead of
+    serialising in the parent.  The result keeps only the columns (two
+    raw uint64 buffers, about 160 KB per prefix at a 10 k budget) and
+    drops its boxed-int target set, which is what a pool pickles back.
     """
-    prefix, seeds, prefix_budget, loose, ledger, rng_seed = args
+    prefix, seeds, prefix_budget, loose, ledger, rng_seed = item
     result = run_6gen(
-        seeds, prefix_budget, loose=loose, ledger=ledger, rng_seed=rng_seed
+        seeds, prefix_budget, loose=loose, ledger=ledger, rng_seed=rng_seed,
+        telemetry=telemetry,
     )
     result.target_columns_by_density()  # cached on the result
     result._targets = None
-    return prefix, seeds, prefix_budget, result
+    return result
+
+
+def _pool(processes: int | None, jobs: int):
+    """A process pool when ``processes`` > 1 and there are several jobs.
+
+    Otherwise a null context yielding ``None``: the worker runs
+    in-process.
+    """
+    if not (processes and processes > 1 and jobs > 1):
+        return contextlib.nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=processes)
 
 
 def generate_per_prefix(
@@ -68,14 +83,16 @@ def generate_per_prefix(
 
     ``processes`` > 1 runs prefixes in a process pool — the
     parallelisation axis §5.6 mentions ("we could parallelize execution
-    across different prefixes").  Results are identical to the serial
-    path because every prefix run is independently seeded.
+    across different prefixes").  Serial and pooled runs share one
+    worker and one loop; the pool only decides where the worker runs.
+    Results, events and counters are identical at any worker count
+    because every prefix run is independently seeded.
 
-    ``telemetry`` records a ``generate`` span, per-prefix ``progress``
-    events, and aggregate counters.  In the process-pool path the
-    per-run counters still aggregate (in the parent, from each
-    returned result); only the in-process per-prefix ``sixgen`` spans
-    are unavailable, since telemetry objects stay in the parent.
+    ``telemetry`` records a ``generate`` span, one ``generate.prefix``
+    span per prefix, per-prefix ``progress`` events (each with its
+    ``targets`` count), and aggregate counters.  Telemetry objects stay
+    in the parent, so 6Gen's own ``sixgen`` spans and counters nest
+    inside ``generate.prefix`` only when the prefix runs in-process.
 
     With ``isolate_failures`` (the default) a prefix whose 6Gen run
     raises does not kill the campaign: the run is retried once
@@ -99,122 +116,61 @@ def generate_per_prefix(
     out = MultiPrefixRun()
     started = time.perf_counter()
     targets_total = 0
-    targets_known = True
-    with tele.span("generate", prefixes=len(work), budget=budget):
-        if processes and processes > 1 and len(work) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Seed-count distributions are heavy-tailed (Figure 4): a few
-            # prefixes dominate the runtime.  Submit largest-first (one
-            # future per prefix) so a giant prefix never queues behind a
-            # chunk of small ones at the tail of the pool — with the
-            # default (sorted-by-prefix, auto-chunked) layout the whole
-            # run waits on whichever worker happened to draw the biggest
-            # group last.  Per-prefix futures also isolate failures: one
+    with tele.span("generate", prefixes=len(work), budget=budget), _pool(
+        processes, len(work)
+    ) as pool:
+        if pool is not None:
+            # Seed-count distributions are heavy-tailed (Figure 4): a
+            # few prefixes dominate the runtime.  Submit largest-first
+            # (one future per prefix) so a giant prefix never queues
+            # behind a chunk of small ones at the tail of the pool.
+            # Results are still collected in prefix order, and each
             # poisoned prefix surfaces from exactly its own future.
-            work.sort(key=lambda item: (-len(item[1]), item[0]))
-            with ProcessPoolExecutor(max_workers=processes) as pool:
-                futures = [
-                    (item, pool.submit(_run_one_columns, item))
-                    for item in work
-                ]
-                for item, future in futures:
+            futures = {
+                item[0]: pool.submit(_run_prefix, item)
+                for item in sorted(work, key=lambda it: (-len(it[1]), it[0]))
+            }
+        for item in work:
+            prefix, seeds, prefix_budget = item[:3]
+            # The per-prefix span wraps the whole attempt (retry
+            # included) so `repro report` can attribute generation time
+            # prefix by prefix.
+            try:
+                with tele.span(
+                    "generate.prefix", prefix=str(prefix), seeds=len(seeds)
+                ):
                     try:
-                        prefix, seeds, prefix_budget, result = future.result()
+                        if pool is None:
+                            result = _run_prefix(item, telemetry)
+                        else:
+                            result = futures.pop(prefix).result()
                     except Exception:
                         if not isolate_failures:
                             raise
                         # Retry once, in the parent — same args, same
-                        # seed, so a success is the run the worker
-                        # would have produced.
+                        # seed, so a success is the run the first
+                        # attempt would have produced.
                         tele.count("generate.prefix_retries")
-                        try:
-                            prefix, seeds, prefix_budget, result = (
-                                _run_one_columns(item)
-                            )
-                        except Exception as exc2:
-                            _record_prefix_failure(
-                                tele, out, item[0], exc2, len(work),
-                                progress_sink,
-                            )
-                            continue
-                    out.runs[prefix] = PrefixRun(
-                        prefix=prefix, seeds=seeds, budget=prefix_budget,
-                        result=result,
-                    )
-                    # Per-prefix attribution: in-process sixgen spans
-                    # cannot cross the pool, so the worker's wall time
-                    # and target count ride on this collection-side
-                    # span instead.
-                    targets = len(result._columns[0])
-                    targets_total += targets
-                    if tele.enabled:
-                        tele.count("generate.targets_total", targets)
-                        with tele.span(
-                            "generate.prefix",
-                            prefix=str(prefix),
-                            seeds=len(seeds),
-                            targets=targets,
-                            worker_elapsed=result.elapsed_seconds,
-                        ):
-                            pass
-                    _record_prefix_run(
-                        tele, out.runs[prefix], len(work), progress_sink,
-                        targets=targets,
-                    )
-        else:
-            for item in work:
-                prefix, seeds, prefix_budget, loose_, ledger_, seed_ = item
-                # The per-prefix span wraps the whole attempt (retry
-                # included) so `repro report` can attribute generation
-                # time prefix by prefix; run_6gen's own sixgen span —
-                # which carries generate.targets_total — nests inside.
-                try:
-                    with tele.span(
-                        "generate.prefix",
-                        prefix=str(prefix), seeds=len(seeds),
-                    ):
-                        try:
-                            result = run_6gen(
-                                seeds, prefix_budget, loose=loose_,
-                                ledger=ledger_, rng_seed=seed_,
-                                telemetry=telemetry,
-                            )
-                        except Exception:
-                            if not isolate_failures:
-                                raise
-                            tele.count("generate.prefix_retries")
-                            result = run_6gen(
-                                seeds, prefix_budget, loose=loose_,
-                                ledger=ledger_, rng_seed=seed_,
-                                telemetry=telemetry,
-                            )
-                except Exception as exc2:
-                    if not isolate_failures:
-                        raise
-                    _record_prefix_failure(
-                        tele, out, prefix, exc2, len(work), progress_sink
-                    )
-                    continue
-                out.runs[prefix] = PrefixRun(
-                    prefix=prefix, seeds=seeds, budget=prefix_budget,
-                    result=result,
+                        result = _run_prefix(item, telemetry)
+                    targets = len(result.target_columns_by_density()[0])
+                    tele.count("generate.targets_total", targets)
+            except Exception as exc:
+                if not isolate_failures:
+                    raise
+                _record_prefix_failure(
+                    tele, out, prefix, exc, len(work), progress_sink
                 )
-                if result._targets is not None:
-                    targets = len(result._targets)
-                    targets_total += targets
-                else:
-                    targets = None
-                    targets_known = False
-                _record_prefix_run(
-                    tele, out.runs[prefix], len(work), progress_sink,
-                    targets=targets,
-                )
+                continue
+            targets_total += targets
+            out.runs[prefix] = PrefixRun(
+                prefix=prefix, seeds=seeds, budget=prefix_budget,
+                result=result,
+            )
+            _record_prefix_run(
+                tele, out.runs[prefix], len(work), targets, progress_sink
+            )
     elapsed = time.perf_counter() - started
-    if tele.enabled and targets_known and out.runs and elapsed > 0:
-        # Campaign-level rate; overwrites any per-run gauge from the
-        # serial path's nested run_6gen calls (last write wins), which
-        # is the value `repro report` should show.
+    if tele.enabled and out.runs and elapsed > 0:
         tele.gauge("generate.targets_per_sec", targets_total / elapsed)
     return out
 
@@ -223,16 +179,12 @@ def _record_prefix_run(
     telemetry: Telemetry,
     run: PrefixRun,
     total: int,
+    targets: int,
     sink=None,
-    *,
-    targets: int | None = None,
 ) -> None:
     """Per-prefix progress accounting (no-op for null telemetry).
 
-    ``targets`` is the prefix's distinct generated-target count when the
-    caller knows it (exact ledger or column path); ``None`` means
-    unknown (range-sum ledger, where materialising the set just to
-    count it would defeat the ledger's purpose).
+    ``targets`` is the prefix's distinct generated-target count.
     """
     if sink is not None:
         sink.emit(
@@ -248,17 +200,18 @@ def _record_prefix_run(
     telemetry.count("generate.prefixes")
     telemetry.count("generate.budget_used", run.result.budget_used)
     telemetry.count("generate.clusters", len(run.result.clusters))
-    event = {
-        "stage": "6gen",
-        "prefix": str(run.prefix),
-        "seeds": len(run.seeds),
-        "budget_used": run.result.budget_used,
-        "iterations": run.result.iterations,
-        "total_prefixes": total,
-    }
-    if targets is not None:
-        event["targets"] = targets
-    telemetry.event("progress", event)
+    telemetry.event(
+        "progress",
+        {
+            "stage": "6gen",
+            "prefix": str(run.prefix),
+            "seeds": len(run.seeds),
+            "budget_used": run.result.budget_used,
+            "iterations": run.result.iterations,
+            "targets": targets,
+            "total_prefixes": total,
+        },
+    )
 
 
 def _record_prefix_failure(

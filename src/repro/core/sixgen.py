@@ -43,7 +43,7 @@ from ..ipv6.nybble_tree import NybbleTree
 from ..ipv6.range_ import NybbleRange, expand_range_arr
 from ..telemetry.spans import Telemetry, ensure
 from .budget import BudgetExceeded, ExactLedger, make_ledger
-from .candidates import SeedMatrix, find_candidates_python
+from .candidates import SeedMatrix
 from .cluster import Cluster, Growth, growth_beats
 
 
@@ -61,22 +61,10 @@ class SixGenConfig:
     ledger
         ``"exact"`` for unique-address budget accounting (§5.4),
         ``"range-sum"`` for the simplified Algorithm 1 cost model.
-    use_seed_matrix
-        Use the vectorised numpy candidate search (§5.5 analogue of the
-        paper's OpenMP parallelism); the pure-Python path is kept for
-        testing and tiny inputs.
     use_growth_cache
         Cache each cluster's best growth between iterations (§5.5).
         Disabling recomputes every cluster every iteration (the naive
         algorithm) — used by the caching ablation benchmark.
-    use_vector_kernel
-        Run the batched/incremental hot path: one blocked all-pairs
-        numpy pass for singleton initialisation, per-cluster distance
-        vectors updated only at mask positions that widened, batched
-        nybble-tree counting of candidate spans, and heap-based growth
-        selection.  Bit-for-bit identical output to the reference path
-        for a fixed ``rng_seed``; requires ``use_seed_matrix``.  The
-        reference path remains the correctness oracle for parity tests.
     rng_seed
         Seed for the tie-breaking / sampling RNG, for reproducible runs.
     """
@@ -84,9 +72,7 @@ class SixGenConfig:
     budget: int
     loose: bool = True
     ledger: str = "exact"
-    use_seed_matrix: bool = True
     use_growth_cache: bool = True
-    use_vector_kernel: bool = True
     rng_seed: int | None = 0
 
 
@@ -102,10 +88,9 @@ class SixGenResult:
     sampled: list[int] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     _targets: set[int] | None = None
-    # Cached densest-first (hi, lo) columns.  Populated by
-    # target_columns_by_density() and by the parallel per-prefix
-    # transport (see repro.analysis.grouping), which ships columns via
-    # shared memory instead of pickling the _targets set.
+    # Cached densest-first (hi, lo) columns, populated by
+    # target_columns_by_density().  The per-prefix generation stage
+    # (repro.campaign.generate) keeps only these and drops _targets.
     _columns: "tuple[np.ndarray, np.ndarray] | None" = field(
         default=None, compare=False, repr=False
     )
@@ -126,8 +111,8 @@ class SixGenResult:
         """All distinct generated target addresses, seeds included."""
         if self._targets is None:
             if self._columns is not None:
-                # Rebuilt from columns: the parallel per-prefix path
-                # ships (hi, lo) columns and drops the big-int set.
+                # Rebuilt from columns: the per-prefix generation
+                # stage keeps (hi, lo) columns and drops the big-int set.
                 self._targets = set(unpack(*self._columns))
             else:
                 targets: set[int] = set(self.sampled)
@@ -187,20 +172,6 @@ class SixGenResult:
                 emitted.add(addr)
                 yield addr
 
-    def target_columns(self) -> "tuple[np.ndarray, np.ndarray]":
-        """All distinct targets as packed ``(hi, lo)`` uint64 columns.
-
-        Generation order: clusters as stored, each ascending, then the
-        final-growth sampled addresses; overlap deduplicated first-seen.
-        Covers exactly :meth:`target_set` without boxing any ints.
-        """
-        dedupe = ColumnDeduper()
-        expanded = [expand_range_arr(c.range) for c in self.clusters]
-        chunks = [dedupe.add(*concat_columns(expanded))]
-        if self.sampled:
-            chunks.append(dedupe.add(*pack(self.sampled)))
-        return concat_columns(chunks)
-
     def target_columns_by_density(self) -> "tuple[np.ndarray, np.ndarray]":
         """Packed-column form of :meth:`iter_targets_by_density`.
 
@@ -212,8 +183,9 @@ class SixGenResult:
         generator's ``remaining`` set does: expansion stops at the
         first cluster boundary where every target has been emitted.
 
-        The result is cached (the parallel per-prefix transport reuses
-        it); callers that mutate the arrays must copy first.
+        The result is cached (the per-prefix generation stage computes
+        it once per prefix); callers that mutate the arrays must copy
+        first.
         """
         if self._columns is not None:
             return self._columns
@@ -291,7 +263,18 @@ class _HeapEntry:
 
 
 class SixGen:
-    """A single 6Gen run over one seed set (typically one routed prefix)."""
+    """A single 6Gen run over one seed set (typically one routed prefix).
+
+    The hot path is the vector kernel: one blocked all-pairs numpy pass
+    for singleton initialisation, per-cluster distance vectors updated
+    only at mask positions that widened, candidate-minimality counting
+    of spans, and heap-based growth selection.  Its output is
+    bit-for-bit that of the Algorithm 1 transcription kept as the
+    test-only oracle :func:`_run_6gen_reference`.
+    """
+
+    #: Recorded as ``kernel`` in the ``sixgen_summary`` telemetry event.
+    kernel = "vector"
 
     def __init__(
         self,
@@ -310,68 +293,35 @@ class SixGen:
         self.seeds = sorted(set(int(s) for s in seeds))
         self.rng = random.Random(config.rng_seed)
         self.tree = NybbleTree(self.seeds)
-        self.matrix = SeedMatrix(self.seeds) if config.use_seed_matrix else None
+        self.matrix = SeedMatrix(self.seeds)
         self.ledger = make_ledger(config.ledger, config.budget, self.seeds)
         self._clusters: dict[int, Cluster] = {}
         self._best: dict[int, Growth | None] = {}
         self._singleton_by_seed: dict[int, int] = {}
         self._next_id = 0
         self.iterations = 0
-        self.vectorised = config.use_vector_kernel and self.matrix is not None
         #: Cached distance-to-every-seed vectors, keyed by cluster id.
         #: Populated lazily (clusters that never grow never need one) and
         #: updated incrementally on growth: masks only widen, so only the
         #: changed positions can lower a seed's distance.
         self._dist: dict[int, np.ndarray] = {}
         #: Packed 512-bit mask signatures of grown clusters, for O(1)
-        #: encapsulation checks in the vectorised path.
+        #: encapsulation checks.
         self._grown_sigs: dict[int, int] = {}
         # Heap selection needs stable cached growths between iterations;
         # the no-cache ablation redraws every growth each iteration, so
         # it keeps the linear scan.
-        self._use_heap = self.vectorised and config.use_growth_cache
+        self._use_heap = config.use_growth_cache
         self._heap: list[_HeapEntry] = []
 
     # -- internals ---------------------------------------------------------
-    def _find_candidates(self, range_: NybbleRange) -> list[int]:
-        """Indices of seeds at minimum positive distance from the range."""
-        if self.matrix is not None:
-            _, indices = self.matrix.min_positive_candidates(range_)
-        else:
-            _, indices = find_candidates_python(range_, self.seeds)
-        return indices
-
     def _set_best(self, cid: int, growth: Growth | None) -> None:
         """Record a cluster's cached best growth (and index it for the heap)."""
         self._best[cid] = growth
         if self._use_heap and growth is not None:
             heapq.heappush(self._heap, _HeapEntry(growth, cid))
 
-    def _evaluate(self, cluster: Cluster) -> Growth | None:
-        """Best growth for one cluster, or ``None`` if it holds all seeds.
-
-        For each candidate seed the grown range may encapsulate further
-        seeds; the post-growth seed-set size is counted with the nybble
-        tree, so absorbed seeds (candidate or not) are included.
-        """
-        indices = self._find_candidates(cluster.range)
-        self.candidate_scans += len(indices)
-        if not indices:
-            return None
-        best: Growth | None = None
-        seen_ranges: set[tuple[int, ...]] = set()
-        for idx in indices:
-            new_range = cluster.range.span(self.seeds[idx], loose=self.config.loose)
-            if new_range.masks in seen_ranges:
-                continue
-            seen_ranges.add(new_range.masks)
-            count = self.tree.count_in_range(new_range)
-            growth = Growth(new_range, count, self.rng.random())
-            if best is None or growth.sort_key() > best.sort_key():
-                best = growth
-        return best
-
-    # -- vectorised kernel -------------------------------------------------
+    # -- growth evaluation -------------------------------------------------
     def _best_growth_for(
         self,
         range_: NybbleRange,
@@ -382,12 +332,12 @@ class SixGen:
     ) -> Growth | None:
         """Best growth of a range by the given candidate seed indices.
 
-        The vectorised analogue of :meth:`_evaluate`'s candidate loop:
-        span masks are built directly from the matrix's nybble rows with
+        Span masks are built directly from the matrix's nybble rows with
         the range size tracked incrementally (skipping range
         re-validation), and comparisons use exact integer
         cross-multiplication.  Candidate order, span dedup, and the RNG
-        salt sequence are identical to the reference path.
+        salt sequence are identical to the reference oracle's
+        :meth:`_ReferenceSixGen._evaluate`.
 
         ``indices`` must be *all* seeds at the minimum positive distance
         ``d`` from the range (``seed_count`` is the range's current seed
@@ -499,8 +449,11 @@ class SixGen:
                 best = growth
         return best
 
-    def _evaluate_vector(self, cid: int) -> Growth | None:
-        """Vectorised :meth:`_evaluate` using the cached distance vector."""
+    def _evaluate(self, cid: int) -> Growth | None:
+        """Best growth for one cluster, or ``None`` if it holds all seeds.
+
+        Candidates come from the cluster's cached distance vector.
+        """
         cluster = self._clusters[cid]
         vec = self._dist.get(cid)
         if vec is None:
@@ -527,54 +480,54 @@ class SixGen:
             self._next_id += 1
             self._clusters[cid] = Cluster(NybbleRange.from_address(seed), 1)
             self._singleton_by_seed[seed] = cid
-        if self.vectorised:
-            # Cluster ids were assigned in seed (= matrix row) order, so
-            # row i's nearest-neighbour candidates belong to cluster i.
-            # A singleton's mask holds exactly its own nybbles, so each
-            # candidate's mismatch positions (and values, for tight
-            # mode) fall straight out of the integer XOR of the two
-            # seeds — no per-singleton numpy calls at all.
-            all_candidates = self.matrix.all_pairs_min_candidates()
-            seeds = self.seeds
-            tight = not self.config.loose
-            for cid, (_, indices) in enumerate(all_candidates):
-                seed_i = seeds[cid]
-                mbits_list: list[int] = []
-                vvals: list[int] | None = [] if tight else None
-                for j in indices:
-                    x = seed_i ^ seeds[j]
-                    mbits = 0
-                    vval = 0
-                    while x:
-                        b = x & -x
-                        nyb_from_lsb = (b.bit_length() - 1) >> 2
-                        x &= ~(0xF << (4 * nyb_from_lsb))
-                        pos = NYBBLE_COUNT - 1 - nyb_from_lsb
-                        mbits |= 1 << pos
-                        if tight:
-                            nybble = (seeds[j] >> (4 * nyb_from_lsb)) & 0xF
-                            vval |= nybble << (4 * pos)
-                    mbits_list.append(mbits)
+        self._evaluate_singletons()
+
+    def _evaluate_singletons(self) -> None:
+        """Cache every singleton's best growth from one all-pairs pass."""
+        # Cluster ids were assigned in seed (= matrix row) order, so
+        # row i's nearest-neighbour candidates belong to cluster i.
+        # A singleton's mask holds exactly its own nybbles, so each
+        # candidate's mismatch positions (and values, for tight mode)
+        # fall straight out of the integer XOR of the two seeds — no
+        # per-singleton numpy calls at all.
+        all_candidates = self.matrix.all_pairs_min_candidates()
+        seeds = self.seeds
+        tight = not self.config.loose
+        for cid, (_, indices) in enumerate(all_candidates):
+            seed_i = seeds[cid]
+            mbits_list: list[int] = []
+            vvals: list[int] | None = [] if tight else None
+            for j in indices:
+                x = seed_i ^ seeds[j]
+                mbits = 0
+                vval = 0
+                while x:
+                    b = x & -x
+                    nyb_from_lsb = (b.bit_length() - 1) >> 2
+                    x &= ~(0xF << (4 * nyb_from_lsb))
+                    pos = NYBBLE_COUNT - 1 - nyb_from_lsb
+                    mbits |= 1 << pos
                     if tight:
-                        vvals.append(vval)
-                self._set_best(
-                    cid,
-                    self._best_growth_for(
-                        self._clusters[cid].range,
-                        1,
-                        indices,
-                        mbits_list=mbits_list,
-                        vvals=vvals,
-                    ),
-                )
-        else:
-            for cid, cluster in self._clusters.items():
-                self._set_best(cid, self._evaluate(cluster))
+                        nybble = (seeds[j] >> (4 * nyb_from_lsb)) & 0xF
+                        vval |= nybble << (4 * pos)
+                mbits_list.append(mbits)
+                if tight:
+                    vvals.append(vval)
+            self._set_best(
+                cid,
+                self._best_growth_for(
+                    self._clusters[cid].range,
+                    1,
+                    indices,
+                    mbits_list=mbits_list,
+                    vvals=vvals,
+                ),
+            )
 
     def _select_growth(self) -> tuple[int, Growth] | None:
         """The best (cluster, growth) pair this iteration, if any.
 
-        The vectorised kernel keeps every cached growth in a lazily
+        With growth caching every cached growth sits in a lazily
         invalidated max-heap: stale entries (cluster deleted, or its
         best growth since replaced) are popped on sight, so selection is
         O(log n) amortised instead of a full scan with exact-fraction
@@ -604,57 +557,45 @@ class SixGen:
         """Replace the cluster, drop encapsulated clusters, refresh caches."""
         old_range = self._clusters[cid].range
         self._clusters[cid] = Cluster(growth.new_range, growth.new_seed_count)
-        # Encapsulated singleton clusters are exactly the singletons
-        # whose founding seed lies in the grown range — found via the
-        # seed trie instead of an is_subset scan over every cluster.
-        # (The grown cluster itself also leaves the singleton map here.)
-        doomed: list[int] = []
-        if self.vectorised:
-            # The freshly widened distance vector knows which seeds the
-            # grown range absorbed (distance zero) — no trie walk needed.
-            self._widen_distance_cache(cid, old_range, growth.new_range)
-            seeds = self.matrix.seeds
-            for row in np.nonzero(self._dist[cid] == 0)[0].tolist():
-                oid = self._singleton_by_seed.pop(seeds[row], None)
-                if oid is not None and oid != cid:
-                    doomed.append(oid)
-            # Each grown cluster's masks are packed into one 512-bit
-            # signature (32 disjoint 16-bit fields), so the per-position
-            # subset test collapses to a single ``sig & ~new_sig == 0``.
-            new_sig = 0
-            for mask in growth.new_range.masks:
-                new_sig = (new_sig << 16) | mask
-            for oid, sig in self._grown_sigs.items():
-                if oid != cid and not sig & ~new_sig:
-                    doomed.append(oid)
-            self._grown_sigs[cid] = new_sig
-        else:
-            for seed in self.tree.iter_in_range(growth.new_range):
-                oid = self._singleton_by_seed.pop(seed, None)
-                if oid is not None and oid != cid:
-                    doomed.append(oid)
-            # Grown clusters are few; check them directly.
-            for oid, other in self._clusters.items():
-                if oid != cid and not other.range.is_singleton():
-                    if other.range.is_subset(growth.new_range):
-                        doomed.append(oid)
-        for oid in doomed:
+        for oid in self._absorbed(cid, old_range, growth.new_range):
             del self._clusters[oid]
             del self._best[oid]
             self._dist.pop(oid, None)
             self._grown_sigs.pop(oid, None)
-        if self.vectorised:
-            # (the distance cache was already widened above)
-            if self.config.use_growth_cache:
-                self._set_best(cid, self._evaluate_vector(cid))
-            else:
-                for oid in self._clusters:
-                    self._set_best(oid, self._evaluate_vector(oid))
-        elif self.config.use_growth_cache:
-            self._set_best(cid, self._evaluate(self._clusters[cid]))
+        if self.config.use_growth_cache:
+            self._set_best(cid, self._evaluate(cid))
         else:
-            for oid, cluster in self._clusters.items():
-                self._set_best(oid, self._evaluate(cluster))
+            for oid in self._clusters:
+                self._set_best(oid, self._evaluate(oid))
+
+    def _absorbed(
+        self, cid: int, old_range: NybbleRange, new_range: NybbleRange
+    ) -> list[int]:
+        """Ids of the clusters the grown cluster ``cid`` now encapsulates.
+
+        Encapsulated singletons are exactly those whose founding seed
+        lies in the grown range; the freshly widened distance vector
+        knows them (distance zero) — no trie walk needed.  (The grown
+        cluster itself also leaves the singleton map here.)
+        """
+        self._widen_distance_cache(cid, old_range, new_range)
+        doomed: list[int] = []
+        seeds = self.matrix.seeds
+        for row in np.nonzero(self._dist[cid] == 0)[0].tolist():
+            oid = self._singleton_by_seed.pop(seeds[row], None)
+            if oid is not None and oid != cid:
+                doomed.append(oid)
+        # Each grown cluster's masks are packed into one 512-bit
+        # signature (32 disjoint 16-bit fields), so the per-position
+        # subset test collapses to a single ``sig & ~new_sig == 0``.
+        new_sig = 0
+        for mask in new_range.masks:
+            new_sig = (new_sig << 16) | mask
+        for oid, sig in self._grown_sigs.items():
+            if oid != cid and not sig & ~new_sig:
+                doomed.append(oid)
+        self._grown_sigs[cid] = new_sig
+        return doomed
 
     # -- driver --------------------------------------------------------------
     def run(self) -> SixGenResult:
@@ -700,10 +641,7 @@ class SixGen:
         if tele.enabled:
             grown = sum(1 for c in result.clusters if not c.is_singleton())
             tele.count("sixgen.runs")
-            tele.count(
-                "sixgen.vector_runs" if self.vectorised
-                else "sixgen.reference_runs"
-            )
+            tele.count(f"sixgen.{self.kernel}_runs")
             tele.count("sixgen.seeds", result.seed_count)
             tele.count("sixgen.iterations", result.iterations)
             tele.count("sixgen.clusters_grown", grown)
@@ -712,16 +650,6 @@ class SixGen:
             tele.count("sixgen.budget_used", result.budget_used)
             tele.count("sixgen.sampled_targets", len(result.sampled))
             tele.observe("sixgen.run_seconds", result.elapsed_seconds)
-            if result._targets is not None:
-                # generate.* metrics: the generation plane's output
-                # rate, comparable across 6Gen and Entropy/IP runs.
-                targets_total = len(result._targets)
-                tele.count("generate.targets_total", targets_total)
-                if result.elapsed_seconds > 0:
-                    tele.gauge(
-                        "generate.targets_per_sec",
-                        targets_total / result.elapsed_seconds,
-                    )
             tele.event(
                 "sixgen_summary",
                 {
@@ -732,7 +660,7 @@ class SixGen:
                     "budget_used": result.budget_used,
                     "budget_limit": result.budget_limit,
                     "candidate_scans": self.candidate_scans,
-                    "kernel": "vector" if self.vectorised else "reference",
+                    "kernel": self.kernel,
                     "seconds": round(result.elapsed_seconds, 6),
                 },
             )
@@ -745,9 +673,7 @@ def run_6gen(
     *,
     loose: bool = True,
     ledger: str = "exact",
-    use_seed_matrix: bool = True,
     use_growth_cache: bool = True,
-    use_vector_kernel: bool = True,
     rng_seed: int | None = 0,
     telemetry: Telemetry | None = None,
 ) -> SixGenResult:
@@ -763,9 +689,87 @@ def run_6gen(
         budget=budget,
         loose=loose,
         ledger=ledger,
-        use_seed_matrix=use_seed_matrix,
         use_growth_cache=use_growth_cache,
-        use_vector_kernel=use_vector_kernel,
         rng_seed=rng_seed,
     )
     return SixGen([int(s) for s in seeds], config, telemetry=telemetry).run()
+
+
+class _ReferenceSixGen(SixGen):
+    """Algorithm 1 transcribed directly: the vector kernel's oracle.
+
+    Every cluster is evaluated from scratch: candidates by
+    :meth:`SeedMatrix.min_positive_candidates`, each distinct span
+    counted on the nybble tree, the best growth picked by a linear
+    scan, and absorbed clusters found by a trie walk plus range subset
+    tests.  Only tests and ``benchmarks/bench_kernel.py`` run it.
+    """
+
+    kernel = "reference"
+
+    def __init__(self, seeds, config, telemetry=None):
+        super().__init__(seeds, config, telemetry)
+        self._use_heap = False
+
+    def _evaluate(self, cid: int) -> Growth | None:
+        """Best growth for one cluster, or ``None`` if it holds all seeds.
+
+        For each candidate seed the grown range may encapsulate further
+        seeds; the post-growth seed-set size is counted with the nybble
+        tree, so absorbed seeds (candidate or not) are included.
+        """
+        range_ = self._clusters[cid].range
+        _, indices = self.matrix.min_positive_candidates(range_)
+        self.candidate_scans += len(indices)
+        best: Growth | None = None
+        seen_ranges: set[tuple[int, ...]] = set()
+        for idx in indices:
+            new_range = range_.span(self.seeds[idx], loose=self.config.loose)
+            if new_range.masks in seen_ranges:
+                continue
+            seen_ranges.add(new_range.masks)
+            count = self.tree.count_in_range(new_range)
+            growth = Growth(new_range, count, self.rng.random())
+            if best is None or growth.sort_key() > best.sort_key():
+                best = growth
+        return best
+
+    def _evaluate_singletons(self) -> None:
+        for cid in self._clusters:
+            self._set_best(cid, self._evaluate(cid))
+
+    def _absorbed(
+        self, cid: int, old_range: NybbleRange, new_range: NybbleRange
+    ) -> list[int]:
+        doomed: list[int] = []
+        for seed in self.tree.iter_in_range(new_range):
+            oid = self._singleton_by_seed.pop(seed, None)
+            if oid is not None and oid != cid:
+                doomed.append(oid)
+        # Grown clusters are few; check them directly.
+        for oid, other in self._clusters.items():
+            if oid != cid and not other.range.is_singleton():
+                if other.range.is_subset(new_range):
+                    doomed.append(oid)
+        return doomed
+
+
+def _run_6gen_reference(
+    seeds: Sequence[int] | Iterable[int],
+    budget: int,
+    *,
+    loose: bool = True,
+    ledger: str = "exact",
+    use_growth_cache: bool = True,
+    rng_seed: int | None = 0,
+    telemetry: Telemetry | None = None,
+) -> SixGenResult:
+    """:func:`run_6gen` on the reference oracle (tests and benchmarks only)."""
+    config = SixGenConfig(
+        budget=budget,
+        loose=loose,
+        ledger=ledger,
+        use_growth_cache=use_growth_cache,
+        rng_seed=rng_seed,
+    )
+    return _ReferenceSixGen([int(s) for s in seeds], config, telemetry).run()

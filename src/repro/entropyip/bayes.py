@@ -29,8 +29,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .mining import SegmentModel
 
 
@@ -175,46 +173,6 @@ class BayesNetwork:
             value = model.atoms[atom_idx].sample(rng)
             addr = model.segment.insert(addr, value)
         return addr
-
-    def sample_atoms_arr(self, u: np.ndarray) -> np.ndarray:
-        """Batched ancestral sampling from explicit uniform draws.
-
-        ``u`` is a ``(count, k)`` float64 array of uniforms in [0, 1);
-        column ``d`` feeds the node at topological depth ``d``.  Returns
-        a ``(count, k)`` int64 atom-index matrix in *segment* order.
-
-        Each draw is ``searchsorted(cumulative_row, u * total)`` — the
-        same float64 comparisons as the scalar :meth:`_draw`'s
-        ``bisect_left``, so for identical uniforms the verdicts are
-        bit-identical.  Conditioned nodes group rows by the parent's
-        sampled atom and search each CPT row's cumulative vector once
-        per present parent value.
-        """
-        count = len(u)
-        assignment = np.zeros((count, len(self.models)), dtype=np.int64)
-        for depth, node in enumerate(self.order):
-            cpt = self.cpts[node]
-            x = u[:, depth]
-            parent = self.parents[node]
-            if parent is None:
-                cum = np.asarray(cpt.cumulative[0])
-                drawn = np.minimum(
-                    np.searchsorted(cum, x * cum[-1], side="left"),
-                    len(cum) - 1,
-                )
-                assignment[:, node] = drawn
-                continue
-            rows = assignment[:, parent]
-            out = np.zeros(count, dtype=np.int64)
-            for row in np.unique(rows):
-                mask = rows == row
-                cum = np.asarray(cpt.cumulative[row])
-                out[mask] = np.minimum(
-                    np.searchsorted(cum, x[mask] * cum[-1], side="left"),
-                    len(cum) - 1,
-                )
-            assignment[:, node] = out
-        return assignment
 
     # -- probabilities -------------------------------------------------------
     def vector_probability(self, atoms: Sequence[int]) -> float:

@@ -12,30 +12,16 @@ modelled (the 6Gen paper highlights exactly this difference in §7.1).
 
 from __future__ import annotations
 
-import bisect
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from ..ipv6.addrplane import (
-    ColumnDeduper,
-    FrozenKeySet,
-    concat_columns,
-    pack,
-)
-from ..ipv6.nybble import NYBBLE_COUNT
 from ..telemetry.spans import Telemetry, ensure
 from .bayes import BayesNetwork
 from .entropy import nybble_entropies
 from .mining import SegmentModel, mine_segment_values
 from .segments import Segment, segment_positions
-
-#: Draw granularity of the vectorised sampler (amortises numpy call
-#: overhead without over-drawing small budgets by much).
-_SAMPLE_CHUNK = 16_384
 
 
 @dataclass
@@ -100,153 +86,6 @@ class EntropyIPModel:
             stale = 0
             targets.add(addr)
         return targets
-
-    def sample_columns(
-        self, u: np.ndarray, v: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised address assembly from explicit uniform draws.
-
-        ``u`` and ``v`` are ``(count, k)`` float64 uniforms (``k`` =
-        number of segments): ``u`` drives the Bayes-network atom draws
-        (one column per topological depth), ``v`` picks the value inside
-        each chosen atom via ``low + floor(v * span)``.  Returns packed
-        ``(hi, lo)`` columns.  :meth:`sample_addresses_reference`
-        consumes the same arrays through the scalar code path and is the
-        parity baseline: for identical inputs the outputs are
-        bit-identical.
-        """
-        if any(m.segment.width > 16 for m in self.segment_models):
-            raise ValueError(
-                "sample_columns requires segment widths <= 16 nybbles"
-            )
-        atoms = self.chain.sample_atoms_arr(u)
-        count = len(u)
-        hi = np.zeros(count, dtype=np.uint64)
-        lo = np.zeros(count, dtype=np.uint64)
-        for i, model in enumerate(self.segment_models):
-            lows = np.array([a.low for a in model.atoms], dtype=np.uint64)
-            spans = np.array([a.span for a in model.atoms], dtype=np.float64)
-            chosen = atoms[:, i]
-            # floor(v * span) < span always (span <= 2**64 is exact in
-            # float64 here: spans are at most 16**width <= 2**64 and
-            # v < 1), and uint64 truncation == the scalar int() floor.
-            value = lows[chosen] + (v[:, i] * spans[chosen]).astype(np.uint64)
-            seg = model.segment
-            shift = 4 * (NYBBLE_COUNT - seg.end)
-            width_bits = 4 * seg.width
-            if shift >= 64:
-                hi |= value << np.uint64(shift - 64)
-            else:
-                # Straddling the /64 half boundary: the low-column shift
-                # wraps mod 2**64 (numpy uint64 semantics), keeping the
-                # in-range bits; the overflowed bits land in hi.
-                lo |= value << np.uint64(shift)
-                if shift + width_bits > 64:
-                    hi |= value >> np.uint64(64 - shift)
-        return hi, lo
-
-    def sample_addresses_reference(
-        self, u: np.ndarray, v: np.ndarray
-    ) -> list[int]:
-        """Scalar reference of :meth:`sample_columns` (same draws).
-
-        A per-address Python loop over the identical uniform arrays:
-        atom via the network's bisect draw, value via
-        ``low + int(v * span)``, assembled with ``Segment.insert``.
-        Exists solely as the parity baseline for the vectorised path.
-        """
-        order = self.chain.order
-        parents = self.chain.parents
-        cpts = self.chain.cpts
-        out: list[int] = []
-        for j in range(len(u)):
-            assignment = [0] * len(self.segment_models)
-            for depth, node in enumerate(order):
-                parent = parents[node]
-                row = 0 if parent is None else assignment[parent]
-                cumulative = cpts[node].cumulative[row]
-                x = float(u[j, depth]) * cumulative[-1]
-                assignment[node] = min(
-                    bisect.bisect_left(cumulative, x), len(cumulative) - 1
-                )
-            addr = 0
-            for i, model in enumerate(self.segment_models):
-                atom = model.atoms[assignment[i]]
-                value = atom.low + int(float(v[j, i]) * atom.span)
-                addr = model.segment.insert(addr, value)
-            out.append(addr)
-        return out
-
-    def generate_columns(
-        self,
-        budget: int,
-        *,
-        exclude: Iterable[int] = (),
-        telemetry: Telemetry | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Column-native :meth:`generate`: packed ``(hi, lo)`` targets.
-
-        Same contract (up to ``budget`` distinct addresses, ``exclude``
-        never emitted and never charged, stop early when the model keeps
-        producing duplicates) but the sampling loop runs in vectorised
-        chunks from an independent ``numpy`` RNG stream seeded with the
-        config's ``rng_seed``.  The draw stream differs from the scalar
-        :meth:`generate` (which consumes ``random.Random`` with a
-        data-dependent number of ``getrandbits`` per address), so the
-        two methods emit equally-distributed but not identical sets;
-        the exhaustive small-support path is shared and identical.
-        Staleness is accounted per chunk: a chunk with no fresh address
-        counts its whole size toward ``max_stale_draws``.
-        """
-        if budget < 0:
-            raise ValueError(f"budget must be non-negative: {budget}")
-        tele = ensure(telemetry)
-        start = time.perf_counter()
-        with tele.span("generate.entropy_ip", budget=budget):
-            support = self.support_size()
-            if support <= budget:
-                columns = pack(
-                    self.generate_ordered(budget, exclude=exclude)
-                )
-            else:
-                columns = self._sample_budget(budget, exclude)
-        if tele.enabled:
-            tele.count("generate.targets_total", len(columns[0]))
-            elapsed = time.perf_counter() - start
-            if elapsed > 0:
-                tele.gauge(
-                    "generate.targets_per_sec", len(columns[0]) / elapsed
-                )
-        return columns
-
-    def _sample_budget(
-        self, budget: int, exclude: Iterable[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Chunked rejection sampling until budget or staleness."""
-        excluded = FrozenKeySet.from_ints(int(a) for a in exclude)
-        rng = np.random.default_rng(self.config.rng_seed)
-        k = len(self.segment_models)
-        dedupe = ColumnDeduper()
-        chunks: list[tuple[np.ndarray, np.ndarray]] = []
-        got = 0
-        stale = 0
-        while got < budget and stale < self.config.max_stale_draws:
-            size = min(_SAMPLE_CHUNK, max(budget - got, 1024))
-            u = rng.random((size, k))
-            v = rng.random((size, k))
-            hi, lo = dedupe.add(*self.sample_columns(u, v))
-            if len(excluded) and len(hi):
-                keep = ~excluded.member(hi, lo)
-                hi, lo = hi[keep], lo[keep]
-            if not len(hi):
-                stale += size
-                continue
-            stale = 0
-            if got + len(hi) > budget:
-                hi, lo = hi[: budget - got], lo[: budget - got]
-            chunks.append((hi, lo))
-            got += len(hi)
-        return concat_columns(chunks)
 
     def support_size(self) -> int:
         """Upper bound on distinct addresses the model can generate.
@@ -428,17 +267,3 @@ def run_entropy_ip(
             tele.gauge("generate.targets_per_sec", len(targets) / elapsed)
     return targets
 
-
-def run_entropy_ip_columns(
-    seeds: Sequence[int] | Iterable[int],
-    budget: int,
-    *,
-    config: EntropyIPConfig | None = None,
-    exclude_seeds: bool = False,
-    telemetry: Telemetry | None = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Column-native :func:`run_entropy_ip` (packed ``(hi, lo)``)."""
-    seeds = [int(s) for s in seeds]
-    model = fit_entropy_ip(seeds, config)
-    exclude = seeds if exclude_seeds else ()
-    return model.generate_columns(budget, exclude=exclude, telemetry=telemetry)

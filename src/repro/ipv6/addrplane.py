@@ -305,12 +305,6 @@ class FrozenKeySet:
         keys = np.unique(keys) if len(keys) else keys
         return cls(keys)
 
-    @classmethod
-    def from_columns(cls, hi: np.ndarray, lo: np.ndarray) -> "FrozenKeySet":
-        keys = fuse(hi, lo)
-        keys = np.unique(keys) if len(keys) else keys
-        return cls(keys)
-
     def __len__(self) -> int:
         return len(self.keys)
 

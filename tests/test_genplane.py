@@ -33,6 +33,8 @@ from repro.scanner.schedule import interleave_by_network
 from repro.simnet.aliasing import AliasedRegionSet
 from repro.simnet.bgp import BgpTable, group_by_routed_prefix
 from repro.simnet.ground_truth import GroundTruth
+from repro.telemetry import Telemetry
+from repro.telemetry.sinks import MemorySink
 
 from conftest import addr
 
@@ -197,6 +199,46 @@ class TestThreeWayGenerationParity:
             for a in _column_ints(hi, lo)
         ]
         assert set(streamed) == set(run.iter_targets())
+
+
+
+class TestOneGenerationLoop:
+    """Serial and pooled generation share one loop, so they record alike."""
+
+    @staticmethod
+    def _record(groups, ledger, processes):
+        poisoned = sorted(groups)[1]
+
+        def policy(prefix, seeds, base):
+            return -5 if prefix == poisoned else base
+
+        sink = MemorySink()
+        tele = Telemetry(MemorySink())
+        with pytest.warns(RuntimeWarning, match="failed twice"):
+            run = generate_per_prefix(
+                groups, 150, ledger=ledger, budget_policy=policy,
+                processes=processes, telemetry=tele, progress_sink=sink,
+            )
+        progress = [e for e in tele.sink.events if e["event"] == "progress"]
+        return run, sink.events, progress, tele.snapshot().counters
+
+    @pytest.mark.parametrize("ledger", ["exact", "range-sum"])
+    def test_serial_and_pooled_emit_the_same(self, ledger):
+        groups = _prefix_groups()
+        serial = self._record(groups, ledger, None)
+        pooled = self._record(groups, ledger, 2)
+        run, sink_events, progress, counters = serial
+        assert sink_events == pooled[1]
+        assert [e["event"] for e in sink_events].count("prefix_failed") == 1
+        assert progress == pooled[2]
+        assert len(progress) == len(run.runs) == len(groups) - 1
+        for event in progress:
+            prefix = Prefix.parse(event["prefix"])
+            assert event["targets"] == len(run.runs[prefix].target_columns()[0])
+        # generate.targets_total counts each prefix's targets exactly once.
+        total = sum(e["targets"] for e in progress)
+        assert counters["generate.targets_total"] == total
+        assert pooled[3]["generate.targets_total"] == total
 
 
 def _truth(hosts=None, aliased=None):

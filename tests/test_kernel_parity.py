@@ -1,12 +1,12 @@
-"""Parity of the vectorised 6Gen kernel against the reference path.
+"""Parity of the vectorised 6Gen kernel against the reference oracle.
 
-The vectorised kernel (``use_vector_kernel=True``) must be bit-for-bit
-identical to the pure reference implementation for a fixed ``rng_seed``:
-same clusters, same targets, same sampled addresses, same budget use,
-same iteration count.  These tests sweep randomized seed pools across
-the full configuration matrix (loose/tight ranges, exact/range-sum
-ledgers, growth cache on/off) and also check the kernel's building
-blocks against their scalar references.
+The vector kernel (``run_6gen``) must be bit-for-bit identical to the
+Algorithm 1 transcription (``_run_6gen_reference``) for a fixed
+``rng_seed``: same clusters, same targets, same sampled addresses, same
+budget use, same iteration count.  These tests sweep randomized seed
+pools across the full configuration matrix (loose/tight ranges,
+exact/range-sum ledgers, growth cache on/off) and also check the
+kernel's building blocks against their scalar references.
 """
 
 import itertools
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidates import SeedMatrix, find_candidates_python
-from repro.core.sixgen import run_6gen
+from repro.core.sixgen import _run_6gen_reference, run_6gen
 from repro.ipv6.nybble_tree import NybbleTree
 from repro.ipv6.range_ import NybbleRange
 
@@ -44,6 +44,17 @@ def run_signature(result):
     )
 
 
+def assert_candidates_agree(seeds, result):
+    """``find_candidates_python`` equals ``SeedMatrix`` on every cluster
+    range of ``result``, grown or singleton."""
+    matrix = SeedMatrix(seeds)
+    assert result.clusters
+    for cluster in result.clusters:
+        assert matrix.min_positive_candidates(cluster.range) == (
+            find_candidates_python(cluster.range, matrix.seeds)
+        )
+
+
 CONFIG_MATRIX = list(
     itertools.product(
         (True, False),  # loose
@@ -59,13 +70,12 @@ class TestEndToEndParity:
     def test_vector_matches_reference(self, n, loose, ledger, cache):
         pool = make_pool(random.Random(n * 1009 + 17), n) if n else []
         for budget in (0, 25, 4000):
-            ref = run_6gen(
+            ref = _run_6gen_reference(
                 pool,
                 budget,
                 loose=loose,
                 ledger=ledger,
                 use_growth_cache=cache,
-                use_vector_kernel=False,
             )
             vec = run_6gen(
                 pool,
@@ -73,32 +83,24 @@ class TestEndToEndParity:
                 loose=loose,
                 ledger=ledger,
                 use_growth_cache=cache,
-                use_vector_kernel=True,
             )
             assert run_signature(ref) == run_signature(vec)
 
     @pytest.mark.parametrize("loose,ledger,cache", CONFIG_MATRIX)
     def test_python_candidate_path_matches(self, loose, ledger, cache):
-        """The no-numpy path agrees with both matrix-backed paths."""
+        """The pure-Python candidate search agrees with ``SeedMatrix``
+        on every cluster range a production run produces."""
         pool = make_pool(random.Random(99), 12)
-        pure = run_6gen(
+        assert_candidates_agree(
             pool,
-            300,
-            loose=loose,
-            ledger=ledger,
-            use_growth_cache=cache,
-            use_seed_matrix=False,
-            use_vector_kernel=False,
+            run_6gen(
+                pool,
+                300,
+                loose=loose,
+                ledger=ledger,
+                use_growth_cache=cache,
+            ),
         )
-        vec = run_6gen(
-            pool,
-            300,
-            loose=loose,
-            ledger=ledger,
-            use_growth_cache=cache,
-            use_vector_kernel=True,
-        )
-        assert run_signature(pure) == run_signature(vec)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -108,15 +110,15 @@ class TestEndToEndParity:
     )
     def test_randomized_pools(self, pool_seed, n, budget):
         pool = make_pool(random.Random(pool_seed), n)
-        ref = run_6gen(pool, budget, use_vector_kernel=False)
-        vec = run_6gen(pool, budget, use_vector_kernel=True)
+        ref = _run_6gen_reference(pool, budget)
+        vec = run_6gen(pool, budget)
         assert run_signature(ref) == run_signature(vec)
 
     def test_density_stream_matches_target_set(self):
         """iter_targets_by_density covers exactly the target set, both paths."""
         pool = make_pool(random.Random(5), 20)
-        for kernel in (False, True):
-            result = run_6gen(pool, 500, use_vector_kernel=kernel)
+        for run in (_run_6gen_reference, run_6gen):
+            result = run(pool, 500)
             streamed = list(result.iter_targets_by_density())
             assert len(streamed) == len(set(streamed))
             assert set(streamed) == result.target_set()

@@ -1,7 +1,10 @@
 """Behavioural tests for the 6Gen algorithm (paper §5)."""
 
+import itertools
+
 import pytest
 
+from repro.core.candidates import SeedMatrix, find_candidates_python
 from repro.core.sixgen import SixGen, SixGenConfig, run_6gen
 from repro.ipv6.range_ import NybbleRange
 
@@ -137,9 +140,23 @@ class TestModes:
         assert rangesum.budget_used - exact.budget_used == grown.seed_count - 1
 
     def test_python_fallback_matches_numpy(self, dense_block_seeds):
-        fast = run_6gen(dense_block_seeds, budget=40, use_seed_matrix=True)
-        slow = run_6gen(dense_block_seeds, budget=40, use_seed_matrix=False)
-        assert {c.range for c in fast.clusters} == {c.range for c in slow.clusters}
+        # The pure-Python candidate search is SeedMatrix's oracle: both
+        # agree on every cluster range a production run produces, across
+        # the loose/tight x exact/range-sum x cache on/off matrix.
+        seeds = sorted(set(dense_block_seeds))
+        matrix = SeedMatrix(seeds)
+        for loose, ledger, cache in itertools.product(
+            (True, False), ("exact", "range-sum"), (True, False)
+        ):
+            result = run_6gen(
+                seeds, budget=40, loose=loose, ledger=ledger,
+                use_growth_cache=cache,
+            )
+            assert result.grown_clusters()
+            for cluster in result.clusters:
+                assert matrix.min_positive_candidates(cluster.range) == (
+                    find_candidates_python(cluster.range, seeds)
+                )
 
     def test_no_cache_matches_cached(self, dense_block_seeds):
         cached = run_6gen(dense_block_seeds, budget=40, use_growth_cache=True)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sixgen import run_6gen
+from repro.core.sixgen import _run_6gen_reference, run_6gen
 from repro.ipv6.prefix import Prefix
 from repro.scanner.blacklist import Blacklist
 from repro.scanner.dealias import dealias
@@ -534,7 +534,7 @@ class TestSixGenParity:
     def test_kernel_flag_recorded(self):
         seeds = [addr(f"2001:db8::{i:x}") for i in range(1, 10)]
         sink = MemorySink()
-        run_6gen(seeds, 100, telemetry=Telemetry(sink), use_vector_kernel=False)
+        _run_6gen_reference(seeds, 100, telemetry=Telemetry(sink))
         [summary] = [e for e in sink.events if e["event"] == "sixgen_summary"]
         assert summary["kernel"] == "reference"
 
