@@ -4,11 +4,12 @@ The paper's §8 predicts that scanner-integrated generation beats the
 static generate-then-scan pipeline; 6Tree later confirmed it at
 Internet scale.  This bench runs all three on one partly aliased
 network with the same probe budget and compares probe efficiency
-(real hosts discovered per probe).
+(real hosts discovered per probe).  The §8 adaptive row is the phased
+campaign (``Campaign`` + ``PredictiveAllocator``), taken from
+``adaptive_vs_classic_experiment`` together with the classic row.
 """
 
-from repro.core.feedback import run_adaptive
-from repro.core.sixgen import run_6gen
+from repro.analysis.extensions import adaptive_vs_classic_experiment
 from repro.scanner.engine import Scanner
 from repro.simnet.dns import collect_seeds
 from repro.simnet.ground_truth import default_internet
@@ -30,17 +31,11 @@ def test_dynamic_tga_comparison(benchmark, save_result):
     ]
 
     def run():
-        rows = []
-        scanner = Scanner(truth)
-        classic = run_6gen(seeds, BUDGET)
-        scan = scanner.scan(classic.new_targets(seeds))
-        real = {h for h in scan.hits if not truth.is_aliased(h)}
-        rows.append(("6Gen classic", scan.stats.probes_sent, len(real)))
-
-        scanner = Scanner(truth)
-        adaptive = run_adaptive(seeds, scanner, BUDGET, rounds=2)
-        real = {h for h in adaptive.hits if not truth.is_aliased(h)}
-        rows.append(("§8 adaptive", adaptive.probes_used, len(real)))
+        names = {"classic": "6Gen classic", "adaptive": "§8 adaptive"}
+        rows = [
+            (names[row.pipeline], row.probes, row.real_hits)
+            for row in adaptive_vs_classic_experiment(BUDGET, SCALE, ASN)
+        ]
 
         scanner = Scanner(truth)
         sixtree = run_sixtree(seeds, scanner, BUDGET)
@@ -60,8 +55,9 @@ def test_dynamic_tga_comparison(benchmark, save_result):
     classic_probes, classic_hits = by_name["6Gen classic"]
     classic_eff = classic_hits / classic_probes if classic_probes else 0
 
-    # The §8 adaptive loop (6Gen regeneration + feedback) matches the
-    # classic pipeline's discovery at far better probe efficiency.
+    # The §8 phased campaign (6Gen re-planned per phase from scan
+    # feedback, in-loop alias tests) matches the classic pipeline's
+    # discovery at far better probe efficiency.
     probes, hits = by_name["§8 adaptive"]
     assert hits >= classic_hits * 0.8
     assert hits / max(probes, 1) > classic_eff * 2

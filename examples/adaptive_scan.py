@@ -1,17 +1,19 @@
 """Scanner-integrated adaptive scanning (the paper's §8 future work).
 
 Compares the classic "generate targets, then scan them all" pipeline
-against the feedback loop the paper proposes: scan region by region,
-early-terminate unproductive regions, halt regions that test as
-aliased, and re-seed generation with discovered hosts.  Both get the
-same probe budget; the adaptive loop wastes far fewer probes on dead
-and aliased space.
+against the feedback loop the paper proposes, run as a phased
+campaign: a small pilot scan, then 6Gen re-planned at growing quotas
+from what the scans found, with the §6.2 alias test run between
+phases so flagged /64s and /96s get no further probes.  Both get the
+same probe budget; the phased campaign wastes far fewer probes on
+aliased space.
 
 Run:  python examples/adaptive_scan.py
 """
 
-from repro.core.feedback import run_adaptive
+from repro.campaign import Campaign, CampaignSpec
 from repro.core.sixgen import run_6gen
+from repro.predictive import PredictiveAllocator
 from repro.scanner.engine import Scanner
 from repro.simnet.dns import collect_seeds
 from repro.simnet.ground_truth import default_internet
@@ -39,23 +41,22 @@ def main() -> None:
           f"({len(real_hits)} real hosts, "
           f"{scan.hit_count() - len(real_hits)} aliased responses)")
 
-    # --- adaptive pipeline: feedback loop --------------------------------
-    scanner2 = Scanner(internet.truth)
-    adaptive = run_adaptive(seeds, scanner2, budget, rounds=2)
+    # --- adaptive pipeline: phased feedback campaign -----------------------
+    campaign = Campaign(
+        internet.truth, None, {akamai.spec.routed_prefix: seeds},
+        CampaignSpec(budget=budget, dealias=False),
+        allocation=PredictiveAllocator(),
+    )
+    adaptive = campaign.run()
     real_adaptive = {
-        h for h in adaptive.hits if not internet.truth.is_aliased(h)
+        h for h in adaptive.raw_hits if not internet.truth.is_aliased(h)
     }
-    print("\nadaptive pipeline (§8 feedback loop):")
-    print(f"  probes: {adaptive.probes_used} (of {budget} allowed)")
-    print(f"  hits: {len(adaptive.hits)} ({len(real_adaptive)} real hosts)")
-    print(f"  regions scanned: {len(adaptive.regions)}")
-    for status in ("completed", "early-terminated", "alias-halted"):
-        count = len(adaptive.regions_with_status(status))
-        print(f"    {status:<17} {count}")
-    if adaptive.aliased_regions:
-        print("  aliased regions halted mid-scan:")
-        for region in adaptive.aliased_regions[:4]:
-            print(f"    {region.wildcard_text()}")
+    print("\nadaptive pipeline (§8 phased feedback campaign):")
+    print(f"  probes: {adaptive.probes_sent} (of {budget} allowed, "
+          f"{campaign.alias_probes} on in-loop alias tests)")
+    print(f"  hits: {len(adaptive.raw_hits)} ({len(real_adaptive)} real hosts)")
+    print(f"  responses inside prefixes flagged aliased between phases: "
+          f"{len(campaign.aliased_hits)}")
 
     # --- 6Tree-style successor: space-tree dynamic scanning ---------------
     from repro.successors.sixtree import run_sixtree
@@ -72,9 +73,9 @@ def main() -> None:
           f"expansions: {sixtree.expansions}, "
           f"alias-flagged: {len(sixtree.aliased_regions)}")
 
-    saved = budget - adaptive.probes_used
-    print(f"\nadaptive loop returned {saved} unused probes for other networks"
-          f" and avoided pouring budget into aliased space.")
+    saved = budget - adaptive.probes_sent
+    print(f"\nadaptive campaign returned {saved} unused probes for other "
+          f"networks and avoided pouring budget into aliased space.")
 
 
 if __name__ == "__main__":

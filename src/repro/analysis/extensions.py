@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.feedback import run_adaptive
 from ..scanner.dealias import dealias
 from ..scanner.engine import Scanner
 from ..simnet.bgp import group_by_routed_prefix
@@ -367,19 +366,23 @@ def adaptive_vs_classic_experiment(
     """§8 scanner integration: feedback loop vs generate-then-scan.
 
     Runs both pipelines on one partly aliased network with the same
-    probe budget and compares probe efficiency.
+    probe budget and compares probe efficiency.  The ``adaptive`` row
+    is the phased campaign (:class:`~repro.campaign.Campaign` with a
+    :class:`~repro.predictive.PredictiveAllocator`): its in-loop §6.2
+    tests are charged to the same budget, and final dealiasing is off
+    so both rows are scored against the truth alone.
     """
+    from ..campaign import Campaign, CampaignSpec
     from ..core.sixgen import run_6gen
+    from ..predictive import PredictiveAllocator
     from ..simnet.dns import collect_seeds
     from ..simnet.ground_truth import default_internet
 
     internet = default_internet(scale=scale)
     truth = internet.truth
-    network = internet.network_for_asn(asn)[0]
+    routed = internet.network_for_asn(asn)[0].spec.routed_prefix
     seeds = [
-        s
-        for s in collect_seeds(internet).addresses()
-        if network.spec.routed_prefix.contains(s)
+        s for s in collect_seeds(internet).addresses() if routed.contains(s)
     ]
 
     scanner = Scanner(truth)
@@ -387,9 +390,11 @@ def adaptive_vs_classic_experiment(
     scan = scanner.scan(classic.new_targets(seeds))
     classic_real = {h for h in scan.hits if not truth.is_aliased(h)}
 
-    scanner2 = Scanner(truth)
-    adaptive = run_adaptive(seeds, scanner2, budget, rounds=2)
-    adaptive_real = {h for h in adaptive.hits if not truth.is_aliased(h)}
+    adaptive = Campaign(
+        truth, None, {routed: seeds}, CampaignSpec(budget=budget, dealias=False),
+        allocation=PredictiveAllocator(),
+    ).run()
+    adaptive_real = {h for h in adaptive.raw_hits if not truth.is_aliased(h)}
 
     return [
         AdaptiveComparisonRow(
@@ -400,9 +405,9 @@ def adaptive_vs_classic_experiment(
         ),
         AdaptiveComparisonRow(
             pipeline="adaptive",
-            probes=adaptive.probes_used,
+            probes=adaptive.probes_sent,
             real_hits=len(adaptive_real),
-            aliased_responses=len(adaptive.hits) - len(adaptive_real),
+            aliased_responses=len(adaptive.raw_hits) - len(adaptive_real),
         ),
     ]
 

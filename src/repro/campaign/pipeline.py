@@ -45,6 +45,12 @@ ALIAS_TEST_MIN_HITS = 3
 #: Hard per-phase, per-length cap on alias tests (most-hit prefixes
 #: first), bounding the charged detection cost at ~9 probes per test.
 ALIAS_TEST_MAX_TESTS = 64
+#: One test probes ``ALIAS_TEST_SAMPLE_ADDRS`` random addresses up to
+#: ``ALIAS_TEST_PROBES_PER_ADDR`` times each; a test only starts while
+#: its worst-case cost fits the campaign budget left after the scan.
+ALIAS_TEST_SAMPLE_ADDRS = 3
+ALIAS_TEST_PROBES_PER_ADDR = 3
+ALIAS_TEST_COST = ALIAS_TEST_SAMPLE_ADDRS * ALIAS_TEST_PROBES_PER_ADDR
 #: Coarse-to-fine test granularities: a whole aliased /64 spreads its
 #: hits one-per-/96, so the /64 pass must run first; the /96 pass then
 #: catches finer regions among the survivors.
@@ -70,6 +76,10 @@ class CampaignSpec:
     scan_config: ScanConfig = field(default_factory=ScanConfig)
     gen_workers: int | None = None
     checkpoint_every: int = 16
+
+    def __post_init__(self) -> None:
+        if self.budget < 0:
+            raise ValueError(f"budget must be >= 0: {self.budget}")
 
 
 @dataclass
@@ -439,34 +449,21 @@ class Campaign:
         """
         import numpy as np
 
-        from ..ipv6.addrplane import dedupe_columns, fuse
+        from ..ipv6.addrplane import FrozenKeySet, dedupe_columns, fuse, pack
 
-        flagged64 = sorted(
-            prefix.network >> 64
-            for prefix, bad in self._alias_verdicts.items()
-            if bad and prefix.length == 64
-        )
-        flagged64 = (
-            np.array(flagged64, dtype=np.uint64) if flagged64 else None
-        )
-        flagged96 = sorted(
-            prefix.network
-            for prefix, bad in self._alias_verdicts.items()
-            if bad and prefix.length == 96
-        )
-        flagged96 = (
-            np.sort(
-                fuse(
-                    np.array([n >> 64 for n in flagged96], dtype=np.uint64),
-                    np.array(
-                        [(n >> 32) & 0xFFFFFFFF for n in flagged96],
-                        dtype=np.uint64,
-                    ),
+        def flagged(length: int):
+            return pack(
+                sorted(
+                    prefix.network
+                    for prefix, bad in self._alias_verdicts.items()
+                    if bad and prefix.length == length
                 )
             )
-            if flagged96
-            else None
-        )
+
+        flagged64 = FrozenKeySet(flagged(64)[0])
+        hi96, lo96 = flagged(96)
+        flagged96 = FrozenKeySet(fuse(hi96, lo96 >> np.uint64(32)))
+        probed = FrozenKeySet(self._probed_keys)
 
         spec = self.spec
         for prefix in sorted(allocations):
@@ -495,22 +492,9 @@ class Campaign:
             hi, lo = dedupe_columns(*self.run_output.runs[prefix].target_columns())
             if not len(hi):
                 continue
-            keys = fuse(hi, lo)
-            if len(self._probed_keys):
-                pos = np.searchsorted(self._probed_keys, keys)
-                pos[pos == len(self._probed_keys)] = 0
-                fresh = self._probed_keys[pos] != keys
-            else:
-                fresh = np.ones(len(keys), dtype=bool)
-            if flagged64 is not None:
-                pos = np.searchsorted(flagged64, hi)
-                pos[pos == len(flagged64)] = 0
-                fresh &= flagged64[pos] != hi
-            if flagged96 is not None:
-                key96 = fuse(hi, lo >> np.uint64(32))
-                pos = np.searchsorted(flagged96, key96)
-                pos[pos == len(flagged96)] = 0
-                fresh &= flagged96[pos] != key96
+            fresh = ~probed.member_keys(fuse(hi, lo))
+            fresh &= ~flagged64.member_keys(hi)
+            fresh &= ~flagged96.member_keys(fuse(hi, lo >> np.uint64(32)))
             take = np.flatnonzero(fresh)[: allocations[prefix]]
             if len(take):
                 phase_cols[prefix] = (hi[take], lo[take])
@@ -566,14 +550,17 @@ class Campaign:
         """
         import numpy as np
 
-        from ..ipv6.addrplane import fuse_ints
+        from ..ipv6.addrplane import FrozenKeySet, fuse_ints
         from ..scanner.dealias import split_hits
 
         if self.execution is None:
             return
         scan = self.execution.result()
         self.execution = None
-        verdicts, alias_cost = self._test_phase_aliases(scan.hits)
+        verdicts, alias_cost = self._test_phase_aliases(
+            scan.hits,
+            max(self._remaining_budget() - scan.stats.probes_sent, 0),
+        )
         self._alias_verdicts.update(verdicts)
         self.alias_probes += alias_cost
         phase_stats = scan.stats.copy()
@@ -590,11 +577,7 @@ class Campaign:
         observations: dict[str, list[int]] = {}
         for prefix in sorted(self._phase_keys):
             keys = self._phase_keys[prefix]
-            hits = 0
-            if len(keys) and len(hit_keys):
-                pos = np.searchsorted(keys, hit_keys)
-                pos[pos == len(keys)] = 0
-                hits = int((keys[pos] == hit_keys).sum())
+            hits = int(FrozenKeySet(keys).member_keys(hit_keys).sum())
             state = self.progress[prefix]
             state.probes += len(keys)
             state.hits += hits
@@ -610,16 +593,20 @@ class Campaign:
             alias_probes=alias_cost,
         )
 
-    def _test_phase_aliases(self, hits: set) -> "tuple[dict, int]":
+    def _test_phase_aliases(
+        self, hits: set, budget: int
+    ) -> "tuple[dict, int]":
         """§6.2 random-probe tests on the prefixes concentrating ``hits``.
 
         Runs coarse-to-fine over ``ALIAS_TEST_LENGTHS``: untested
         prefixes holding >= ``ALIAS_TEST_MIN_HITS`` hits are probed
         (most-hit first, capped at ``ALIAS_TEST_MAX_TESTS`` per
-        length), hits inside flagged prefixes are dropped before the
-        next, finer pass, and verdicts are cached for the campaign's
-        lifetime.  Returns the new verdicts and the probe cost, which
-        the caller charges.
+        length, and at as many tests as ``budget`` covers at their
+        worst-case ``ALIAS_TEST_COST``), hits inside flagged prefixes
+        are dropped before the next, finer pass, and verdicts are
+        cached for the campaign's lifetime.  Returns the new verdicts
+        and the probe cost, which the caller charges; the cost never
+        exceeds ``budget``.
         """
         from ..scanner.dealias import (
             detect_aliased_prefixes,
@@ -649,7 +636,7 @@ class Campaign:
                     and prefix not in self._alias_verdicts
                 ),
                 key=lambda p: (-len(groups[p]), str(p)),
-            )[:ALIAS_TEST_MAX_TESTS]
+            )[: min(ALIAS_TEST_MAX_TESTS, (budget - cost) // ALIAS_TEST_COST)]
             if not candidates:
                 continue
             subset = [
@@ -660,6 +647,8 @@ class Campaign:
                 subset,
                 self._scanner,
                 length=length,
+                sample_addrs=ALIAS_TEST_SAMPLE_ADDRS,
+                probes_per_addr=ALIAS_TEST_PROBES_PER_ADDR,
                 port=self.spec.port,
                 rng_seed=0,
                 telemetry=self.telemetry,

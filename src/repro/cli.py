@@ -14,9 +14,9 @@ Subcommands mirror the toolchain of the paper:
 * ``report``     — full-pipeline markdown report, or a telemetry run
   summary / two-run delta when given ``.jsonl`` files.
 
-The ``scan`` / ``6gen`` / ``dealias`` / ``adaptive`` / ``service``
-commands accept ``--telemetry PATH`` to stream metrics, spans, and a
-run manifest to a JSONL file (see ``docs/observability.md``), and
+The ``scan`` / ``6gen`` / ``dealias`` / ``service`` commands accept
+``--telemetry PATH`` to stream metrics, spans, and a run manifest to a
+JSONL file (see ``docs/observability.md``), and
 ``scan`` / ``6gen`` / ``dealias`` / ``service`` accept ``--quiet`` /
 ``--json`` to replace the human output with nothing, or with a single
 machine-readable summary line.
@@ -178,7 +178,7 @@ def _cmd_entropy_ip(args: argparse.Namespace) -> int:
 
 
 def _load_internet(args: argparse.Namespace):
-    """World selection shared by scan/dealias/simulate/adaptive."""
+    """World selection shared by scan/dealias/simulate."""
     if getattr(args, "world", None):
         from .simnet.worldfile import load_world
 
@@ -653,45 +653,6 @@ def _cmd_service(args: argparse.Namespace) -> int:
     return 0 if all(s["state"] != "failed" for s in summaries) else 1
 
 
-def _cmd_adaptive(args: argparse.Namespace) -> int:
-    from .core.feedback import run_adaptive
-
-    seeds = read_hitlist_ints(args.seeds)
-    if not seeds:
-        print("error: no seeds in input", file=sys.stderr)
-        return 1
-    internet = _load_internet(args)
-    telemetry = _open_telemetry(
-        args, "adaptive",
-        {
-            "budget": args.budget,
-            "rounds": args.rounds,
-            "port": args.port,
-            "seeds": len(seeds),
-        },
-    )
-    try:
-        scanner = Scanner(internet.truth, telemetry=telemetry)
-        result = run_adaptive(
-            seeds, scanner, args.budget, rounds=args.rounds, port=args.port
-        )
-    finally:
-        _close_telemetry(telemetry)
-    print(f"seeds: {len(seeds)}")
-    print(f"probes used: {result.probes_used}/{args.budget}")
-    print(f"hits: {len(result.hits)} (rate {result.hit_rate:.2%})")
-    print(f"rounds run: {result.rounds_run}")
-    for status in ("completed", "early-terminated", "alias-halted",
-                   "budget-exhausted"):
-        count = len(result.regions_with_status(status))
-        if count:
-            print(f"  regions {status}: {count}")
-    if args.output:
-        write_hitlist(args.output, result.hits, header="adaptive scan hits")
-        print(f"hits written -> {args.output}")
-    return 0
-
-
 _EXPERIMENTS = {
     "fig2": lambda a: ex.format_fig2(ex.fig2_runtime()),
     "fig3": lambda a: ex.format_fig3(ex.fig3_asn_cdf(budget=a.budget)),
@@ -1079,18 +1040,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_options(p)
     add_telemetry_option(p)
     p.set_defaults(func=_cmd_service)
-
-    p = sub.add_parser(
-        "adaptive", help="scanner-integrated adaptive scan (§8 feedback loop)"
-    )
-    p.add_argument("seeds", help="input hitlist of known addresses")
-    p.add_argument("--output", help="write hits to this hitlist")
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--rounds", type=int, default=2)
-    p.add_argument("--port", type=int, default=80)
-    add_world_options(p)
-    add_telemetry_option(p)
-    p.set_defaults(func=_cmd_adaptive)
 
     p = sub.add_parser("validate", help="validate a world file's network specs")
     p.add_argument("world", help="world file to check")

@@ -8,25 +8,14 @@ exposed for analysis code and tests.
 from .budget import BudgetExceeded, ExactLedger, RangeSumLedger, make_ledger
 from .candidates import SeedMatrix, find_candidates_python
 from .cluster import Cluster, Growth
-from .feedback import (
-    AdaptiveConfig,
-    AdaptiveResult,
-    AdaptiveScanner,
-    RegionOutcome,
-    run_adaptive,
-)
 from .sixgen import SixGen, SixGenConfig, SixGenResult, run_6gen
 
 __all__ = [
-    "AdaptiveConfig",
-    "AdaptiveResult",
-    "AdaptiveScanner",
     "BudgetExceeded",
     "Cluster",
     "ExactLedger",
     "Growth",
     "RangeSumLedger",
-    "RegionOutcome",
     "SeedMatrix",
     "SixGen",
     "SixGenConfig",
@@ -34,5 +23,4 @@ __all__ = [
     "find_candidates_python",
     "make_ledger",
     "run_6gen",
-    "run_adaptive",
 ]

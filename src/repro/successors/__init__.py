@@ -2,7 +2,7 @@
 
 Currently: a 6Tree-style space-tree dynamic scanner
 (:mod:`repro.successors.sixtree`), benchmarked against 6Gen and the §8
-adaptive scanner in ``benchmarks/bench_successors.py``.
+phased feedback campaign in ``benchmarks/bench_successors.py``.
 """
 
 from .sixtree import (

@@ -17,7 +17,7 @@ to 6Gen/Entropy/IP and a concrete realisation of this paper's §8
 
 The implementation shares this repo's primitives (nybble ranges, the
 scanner) so it can be benchmarked head-to-head against 6Gen and the
-§8 adaptive scanner on identical worlds.
+§8 phased feedback campaign on identical worlds.
 """
 
 from __future__ import annotations

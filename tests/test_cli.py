@@ -125,6 +125,8 @@ class TestWorldFileWorkflow:
 
 
 class TestAdaptiveCommand:
+    """The §8 feedback loop from the CLI: ``scan --predictive``."""
+
     def test_adaptive_scan(self, tmp_path, capsys):
         world = tmp_path / "world.json"
         seeds_out = tmp_path / "seeds.txt"
@@ -134,17 +136,18 @@ class TestAdaptiveCommand:
         ])
         hits_out = tmp_path / "ahits.txt"
         assert main([
-            "adaptive", str(seeds_out), "--world", str(world),
+            "scan", str(seeds_out), "--predictive", "--world", str(world),
             "--budget", "1000", "--output", str(hits_out),
         ]) == 0
         captured = capsys.readouterr().out
-        assert "probes used:" in captured
-        assert "rounds run:" in captured
+        assert "probes sent:" in captured
+        assert "phases" in captured
+        assert hits_out.exists()
 
     def test_adaptive_empty_seeds_fails(self, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("# none\n")
-        assert main(["adaptive", str(empty), "--scale", "0.05"]) == 1
+        assert main(["scan", str(empty), "--predictive", "--scale", "0.05"]) == 1
 
 
 class TestValidateCommand:

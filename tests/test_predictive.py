@@ -253,6 +253,30 @@ class TestPhasedCampaign:
         assert plan[hot] == 0
         assert plan[cold] > 0
 
+    def test_inloop_alias_tests_stay_within_budget(self):
+        """Alias tests never start past the budget the phase scan left.
+
+        The partly aliased ASN 20940 network at a 100-probe budget: the
+        two phases' scans spend 97 probes and their hits concentrate in
+        dozens of untested /96s, far more tests than 3 probes can pay.
+        """
+        from repro.simnet.dns import collect_seeds
+        from repro.simnet.ground_truth import default_internet
+
+        internet = default_internet(scale=0.15)
+        routed = internet.network_for_asn(20940)[0].spec.routed_prefix
+        seeds = [
+            s for s in collect_seeds(internet).addresses() if routed.contains(s)
+        ]
+        campaign = Campaign(
+            internet.truth, None, {routed: seeds},
+            CampaignSpec(budget=100, dealias=False),
+            allocation=PredictiveAllocator(phases=2),
+        )
+        result = campaign.run()
+        assert result.probes_sent <= 100
+        assert campaign.alias_probes > 0
+
     def test_inloop_alias_discount_matches_truth(self):
         """Every hit the phase loop discounts is truly aliased space."""
         context = _context()
