@@ -33,9 +33,9 @@ def _run_prefix(
     The one per-prefix worker, run in-process or in a pool process.
     Expanding the winning ranges into concrete addresses happens here,
     so in a pool it parallelises with the other prefixes instead of
-    serialising in the parent.  The result keeps only the columns (two
-    raw uint64 buffers, about 160 KB per prefix at a 10 k budget) and
-    drops its boxed-int target set, which is what a pool pickles back.
+    serialising in the parent.  The result carries only the columns
+    (two raw uint64 buffers, about 160 KB per prefix at a 10 k budget),
+    never a boxed-int target set, which is what a pool pickles back.
     """
     prefix, seeds, prefix_budget, loose, ledger, rng_seed = item
     result = run_6gen(
@@ -43,7 +43,6 @@ def _run_prefix(
         telemetry=telemetry,
     )
     result.target_columns_by_density()  # cached on the result
-    result._targets = None
     return result
 
 

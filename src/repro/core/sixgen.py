@@ -88,9 +88,11 @@ class SixGenResult:
     sampled: list[int] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     _targets: set[int] | None = None
+    # The exact ledger's covered count (seeds plus charged addresses),
+    # which bounds target_columns_by_density(); None for range-sum runs.
+    _covered_count: int | None = field(default=None, compare=False, repr=False)
     # Cached densest-first (hi, lo) columns, populated by
-    # target_columns_by_density().  The per-prefix generation stage
-    # (repro.campaign.generate) keeps only these and drops _targets.
+    # target_columns_by_density(); target_set() is built from them.
     _columns: "tuple[np.ndarray, np.ndarray] | None" = field(
         default=None, compare=False, repr=False
     )
@@ -105,20 +107,16 @@ class SixGenResult:
 
     def target_count(self) -> int:
         """Number of distinct generated targets (seeds included)."""
-        return len(self.target_set())
+        return len(self.target_columns_by_density()[0])
 
     def target_set(self) -> set[int]:
-        """All distinct generated target addresses, seeds included."""
+        """All distinct generated target addresses, seeds included.
+
+        Boxed lazily from :meth:`target_columns_by_density` on first
+        use; the column pipeline never asks for it.
+        """
         if self._targets is None:
-            if self._columns is not None:
-                # Rebuilt from columns: the per-prefix generation
-                # stage keeps (hi, lo) columns and drops the big-int set.
-                self._targets = set(unpack(*self._columns))
-            else:
-                targets: set[int] = set(self.sampled)
-                for cluster in self.clusters:
-                    targets.update(cluster.range.iter_ints())
-                self._targets = targets
+            self._targets = set(unpack(*self.target_columns_by_density()))
         return self._targets
 
     def iter_targets(self) -> Iterator[int]:
@@ -137,30 +135,10 @@ class SixGenResult:
         addresses come last.  Cutting this stream at any point yields
         the best available target list of that size under 6Gen's own
         density assumption.
-
-        When the run used the exact ledger its covered set (already the
-        full deduplicated target set) bounds the work: each address is
-        struck off as emitted and the walk stops as soon as every
-        target has been yielded, so fully-overlapped trailing cluster
-        ranges are never re-materialised.
         """
         ordered = sorted(
             self.clusters, key=lambda c: (-c.density(), c.range.size())
         )
-        if self._targets is not None:
-            remaining = set(self._targets)
-            for cluster in ordered:
-                if not remaining:
-                    return
-                for addr in cluster.range.iter_ints():
-                    if addr in remaining:
-                        remaining.discard(addr)
-                        yield addr
-            for addr in self.sampled:
-                if addr in remaining:
-                    remaining.discard(addr)
-                    yield addr
-            return
         emitted: set[int] = set()
         for cluster in ordered:
             for addr in cluster.range.iter_ints():
@@ -179,9 +157,8 @@ class SixGenResult:
         broken by smaller range, sampled addresses last, first-seen
         dedupe throughout — as ``(hi, lo)`` columns built by vectorised
         range expansion.  When the run used the exact budget ledger,
-        its covered count bounds the walk the same way the scalar
-        generator's ``remaining`` set does: expansion stops at the
-        first cluster boundary where every target has been emitted.
+        its covered count bounds the walk: expansion stops at the first
+        cluster boundary where every target has been emitted.
 
         The result is cached (the per-prefix generation stage computes
         it once per prefix); callers that mutate the arrays must copy
@@ -192,7 +169,7 @@ class SixGenResult:
         ordered = sorted(
             self.clusters, key=lambda c: (-c.density(), c.range.size())
         )
-        total = len(self._targets) if self._targets is not None else None
+        total = self._covered_count
         dedupe = ColumnDeduper()
         chunks = []
         # Clusters expand into small per-cluster arrays; feeding each
@@ -636,8 +613,7 @@ class SixGen:
             elapsed_seconds=time.perf_counter() - start,
         )
         if isinstance(self.ledger, ExactLedger):
-            # The exact ledger already knows the deduplicated target set.
-            result._targets = set(self.ledger.covered())
+            result._covered_count = self.ledger.covered_count()
         if tele.enabled:
             grown = sum(1 for c in result.clusters if not c.is_singleton())
             tele.count("sixgen.runs")

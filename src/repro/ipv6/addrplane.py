@@ -244,6 +244,27 @@ class ColumnDeduper:
         """Number of distinct addresses seen so far."""
         return sum(len(run) for run in self._runs)
 
+    def member(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """Boolean flags: which addresses were already seen (commits nothing)."""
+        flags = np.zeros(len(hi), dtype=bool)
+        if not len(hi):
+            return flags
+        keys = fuse(hi, lo)
+        for run in self._runs:
+            pos = np.searchsorted(run, keys)
+            pos[pos == len(run)] = 0
+            flags |= run[pos] == keys
+        return flags
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every seen address as ascending ``(hi, lo)`` columns."""
+        if not self._runs:
+            empty = np.empty(0, dtype=np.uint64)
+            return empty, empty
+        keys = np.sort(np.concatenate(self._runs))
+        cols = keys.view(">u8").reshape(-1, 2).astype(np.uint64)
+        return np.ascontiguousarray(cols[:, 0]), np.ascontiguousarray(cols[:, 1])
+
     def add(
         self, hi: np.ndarray, lo: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:

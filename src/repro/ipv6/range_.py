@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .address import AddressError
+from .addrplane import ColumnDeduper, concat_columns, unpack
 from .nybble import (
     FULL_MASK,
     HEXTET_COUNT,
@@ -357,7 +358,9 @@ class NybbleRange:
         a grown range always contains its pre-growth range).  The cost is
         proportional to the size of the *difference*, not of the full
         range: the difference of two product sets is partitioned by the
-        first widened position that takes a newly added value.
+        first widened position that takes a newly added value.  The
+        budget ledger uses the column form, :func:`expand_new_arr`; this
+        scalar iterator is its test oracle.
         """
         if not old.is_subset(self):
             raise RangeError("iter_new_ints requires old ⊆ new")
@@ -393,32 +396,19 @@ class NybbleRange:
         return self._size - old._size
 
     def sample_new_ints(
-        self, old: "NybbleRange", count: int, rng: random.Random
+        self,
+        old: "NybbleRange",
+        count: int,
+        rng: random.Random,
+        *,
+        exclude: ColumnDeduper | None = None,
     ) -> list[int]:
-        """``count`` distinct random addresses from ``self \\ old``.
+        """``count`` distinct random addresses from ``self \\ old``, none in ``exclude``.
 
-        Implements the paper's final-growth sampling (§5.4): when the
-        last cluster growth would exceed the probe budget, the budget is
-        consumed exactly by randomly selecting addresses of the grown
-        range that were not already in the pre-growth range.  Uses
-        rejection sampling when the difference is large (the acceptance
-        rate is at least 1/16 per widened position because masks only
-        widen), falling back to enumeration for small differences.
+        The paper's final-growth sampling; :func:`sample_new_arr` with
+        the picks unpacked to integers.
         """
-        diff_size = self.difference_size(old)
-        if count > diff_size:
-            raise RangeError(
-                f"cannot sample {count} addresses from difference of size {diff_size}"
-            )
-        if diff_size <= 4 * count or diff_size <= 4096:
-            population = list(self.iter_new_ints(old))
-            return rng.sample(population, count)
-        chosen: set[int] = set()
-        while len(chosen) < count:
-            candidate = self.random_int(rng)
-            if not old.contains(candidate):
-                chosen.add(candidate)
-        return sorted(chosen)
+        return unpack(*sample_new_arr(self, old, count, rng, exclude=exclude))
 
     def random_int(self, rng: random.Random) -> int:
         """A uniformly random covered address."""
@@ -515,14 +505,20 @@ def _expand_half_arr(masks: Sequence[int]) -> np.ndarray:
     size = 1
     const = 0
     dynamic: list[tuple[int, tuple[int, ...]]] = []
-    for i, m in enumerate(masks):
-        shift = 4 * (len(masks) - 1 - i)
-        values = mask_values(m)
-        if len(values) == 1:
-            const |= values[0] << shift
-        else:
+    shift = 4 * len(masks)
+    for m in masks:
+        shift -= 4
+        if m & (m - 1):
+            values = mask_values(m)
             dynamic.append((shift, values))
             size *= len(values)
+        else:
+            const |= (m.bit_length() - 1) << shift
+    if len(dynamic) <= 1:
+        # At most one dynamic position: the column is that position's
+        # values over the constant, built in one pass.
+        shift, values = dynamic[0] if dynamic else (0, (0,))
+        return np.array([const | (v << shift) for v in values], dtype=np.uint64)
     out = np.full(size, np.uint64(const), dtype=np.uint64)
     stride = size
     for shift, values in dynamic:
@@ -585,9 +581,150 @@ def expand_range_arr(
         return empty, empty
     if n < size:
         return _expand_prefix_arr(range_.masks, n)
-    hi = _expand_half_arr(range_.masks[:16])
-    lo = _expand_half_arr(range_.masks[16:])
+    return _expand_masks_arr(range_.masks)
+
+
+def _expand_masks_arr(masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The full product set of 32 position masks as hi/lo columns."""
+    hi = _expand_half_arr(masks[:16])
+    lo = _expand_half_arr(masks[16:])
     return np.repeat(hi, len(lo)), np.tile(lo, len(hi))
+
+
+def expand_new_arr(
+    new: NybbleRange, old: NybbleRange
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column-native :meth:`NybbleRange.iter_new_ints`: ``new \\ old`` as columns.
+
+    One :func:`expand_range_arr` per pivot sub-range (earlier widened
+    positions at their old values, the pivot at its new-only values,
+    later ones at their new values), concatenated in exactly the
+    scalar iteration order.  ``old`` must be a subset of ``new``.
+    """
+    if not old.is_subset(new):
+        raise RangeError("expand_new_arr requires old ⊆ new")
+    masks = list(new.masks)
+    parts = []
+    for i, (new_mask, old_mask) in enumerate(zip(new.masks, old.masks)):
+        if new_mask != old_mask:
+            masks[i] = new_mask & ~old_mask
+            parts.append(_expand_masks_arr(masks))
+            masks[i] = old_mask
+    return concat_columns(parts)
+
+
+def sample_new_arr(
+    new: NybbleRange,
+    old: NybbleRange,
+    count: int,
+    rng: random.Random,
+    *,
+    exclude: ColumnDeduper | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` distinct random addresses from ``new \\ old``, none in ``exclude``.
+
+    Implements the paper's final-growth sampling (§5.4): when the last
+    cluster growth would exceed the probe budget, the budget is
+    consumed exactly by randomly selecting addresses of the grown range
+    that were not already in the pre-growth range (nor, with
+    ``exclude``, already covered by another cluster).  The pick is
+    uniform over ``new \\ old \\ exclude`` and depends only on ``rng``.
+
+    When fresh addresses may be scarce (fewer than ``8 * count``
+    guaranteed, since at most ``len(exclude)`` of the difference can be
+    excluded) or the difference is small, the difference is enumerated
+    by :func:`expand_new_arr` and ``rng.sample(range(n), k)`` picks from
+    it — the same picks ``rng.sample`` over the boxed list would make.
+    Fewer than ``count`` come back only when fewer fresh addresses
+    exist.  Otherwise :func:`_draw_new_arr` draws them as columns.
+    """
+    diff_size = new.difference_size(old)
+    if count > diff_size:
+        raise RangeError(
+            f"cannot sample {count} addresses from difference of size {diff_size}"
+        )
+    if count <= 0:
+        empty = np.empty(0, dtype=np.uint64)
+        return empty, empty
+    excluded = len(exclude) if exclude is not None else 0
+    if diff_size - excluded >= 8 * count and diff_size > 65536:
+        return _draw_new_arr(new, old, count, rng, exclude)
+    hi, lo = expand_new_arr(new, old)
+    if exclude is not None:
+        fresh = ~exclude.member(hi, lo)
+        hi, lo = hi[fresh], lo[fresh]
+    picks = np.array(rng.sample(range(len(hi)), min(count, len(hi))), dtype=np.intp)
+    return hi[picks], lo[picks]
+
+
+def _draw_new_arr(
+    new: NybbleRange,
+    old: NybbleRange,
+    count: int,
+    rng: random.Random,
+    exclude: ColumnDeduper | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` distinct uniform picks from ``new \\ old \\ exclude``, ascending.
+
+    Rejection sampling on columns.  Every dynamic nybble of a whole
+    batch is drawn from one ``rng.randbytes`` call: a byte ``b`` picks
+    value ``b % c`` of the position's ``c`` values and is rejected when
+    ``b >= 256 - 256 % c``, so each pick is exactly uniform.  Members of
+    ``old``, of ``exclude`` and repeats are then rejected in vectorised
+    passes.  The caller guarantees at least ``8 * count`` eligible
+    addresses.  Batches are sized as if every excluded address lay in
+    the difference, so one batch almost always suffices.  (Bytes from
+    ``rng`` rather than a ``numpy.random`` generator: importing that
+    module alone costs about 6 MB of resident memory.)
+    """
+    const = [0, 0]  # (lo, hi) bits of the fixed positions
+    dynamic = []
+    accept = 1.0  # lower bound on the share of drawn addresses kept
+    for pos, (new_mask, old_mask) in enumerate(zip(new.masks, old.masks)):
+        values = mask_values(new_mask)
+        half, digit = divmod(NYBBLE_COUNT - 1 - pos, 16)  # half 1 = hi
+        if len(values) == 1:
+            const[half] |= values[0] << (4 * digit)
+            continue
+        in_old = None
+        if new_mask != old_mask:
+            in_old = np.array([mask_contains(old_mask, v) for v in values])
+        shifted = np.array([v << (4 * digit) for v in values], dtype=np.uint64)
+        limit = 256 - 256 % len(values)
+        dynamic.append((half, shifted, in_old, limit))
+        accept *= limit / 256
+    excluded = len(exclude) if exclude is not None else 0
+    accept *= (new.difference_size(old) - excluded) / new.size()
+    seen = ColumnDeduper()
+    parts = []
+    got = 0
+    while got < count:
+        need = count - got
+        batch = min(int(need / accept * 1.25) + 64, 1 << 18)
+        draws = np.frombuffer(
+            rng.randbytes(batch * len(dynamic)), dtype=np.uint8
+        ).reshape(len(dynamic), batch)
+        cols = [np.full(batch, np.uint64(bits)) for bits in const]
+        keep = np.ones(batch, dtype=bool)
+        inside_old = np.ones(batch, dtype=bool)
+        for (half, shifted, in_old, limit), draw in zip(dynamic, draws):
+            idx = draw % len(shifted)
+            cols[half] |= shifted[idx]
+            if limit < 256:
+                keep &= draw < limit
+            if in_old is not None:
+                inside_old &= in_old[idx]
+        keep &= ~inside_old
+        hi, lo = cols[1][keep], cols[0][keep]
+        if exclude is not None:
+            fresh = ~exclude.member(hi, lo)
+            hi, lo = hi[fresh], lo[fresh]
+        hi, lo = seen.add(hi, lo)
+        parts.append((hi[:need], lo[:need]))
+        got += min(len(hi), need)
+    hi, lo = concat_columns(parts)
+    order = np.lexsort((lo, hi))
+    return hi[order], lo[order]
 
 
 def expand_ranges_arr(
@@ -607,8 +744,6 @@ def expand_ranges_arr(
     mid-iteration.  6Gen cluster lists are budget-bounded, so this does
     not matter in practice.
     """
-    from .addrplane import ColumnDeduper
-
     range_list = list(ranges)
     overlapping = [
         any(

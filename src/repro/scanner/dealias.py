@@ -29,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..ipv6.prefix import Prefix
+from ..ipv6.prefix import Prefix, network_mask
 from ..simnet.bgp import BgpTable
 from ..telemetry.spans import Telemetry, ensure
 from .engine import Scanner
@@ -40,11 +40,18 @@ _M64 = (1 << 64) - 1
 
 
 def group_hits_by_prefix(hits: Iterable[int], length: int = 96) -> dict[Prefix, list[int]]:
-    """Group responsive addresses by their containing /length prefix."""
-    groups: dict[Prefix, list[int]] = defaultdict(list)
+    """Group responsive addresses by their containing /length prefix.
+
+    Groups come out in first-hit order.  Each hit is masked with one
+    precomputed network mask; a :class:`Prefix` is built once per
+    distinct network, not once per hit.
+    """
+    mask = network_mask(length)
+    groups: dict[int, list[int]] = defaultdict(list)
     for addr in hits:
-        groups[Prefix.containing(int(addr), length)].append(int(addr))
-    return dict(groups)
+        value = int(addr)
+        groups[value & mask].append(value)
+    return {Prefix(network, length): members for network, members in groups.items()}
 
 
 def is_prefix_aliased(
@@ -231,17 +238,14 @@ def split_hits(
     hits: Iterable[int], aliased_prefixes: set[Prefix]
 ) -> tuple[set[int], set[int]]:
     """Partition hits into (aliased, clean) by the detected prefixes."""
-    by_length: dict[int, set[int]] = defaultdict(set)
+    by_mask: dict[int, set[int]] = defaultdict(set)
     for prefix in aliased_prefixes:
-        by_length[prefix.length].add(prefix.network)
+        by_mask[network_mask(prefix.length)].add(prefix.network)
     aliased_hits: set[int] = set()
     clean_hits: set[int] = set()
     for addr in hits:
         value = int(addr)
-        in_aliased = any(
-            Prefix.containing(value, length).network in networks
-            for length, networks in by_length.items()
-        )
+        in_aliased = any(value & mask in networks for mask, networks in by_mask.items())
         (aliased_hits if in_aliased else clean_hits).add(value)
     return aliased_hits, clean_hits
 

@@ -38,6 +38,64 @@ class TestHitGroupingProperties:
             assert not any(p.contains(h) for p in aliased)
 
 
+def _group_by_containing(hits, length):
+    """The per-hit ``Prefix.containing`` formulation of the grouping."""
+    groups = {}
+    for addr in hits:
+        groups.setdefault(Prefix.containing(int(addr), length), []).append(int(addr))
+    return groups
+
+
+def _split_by_containing(hits, aliased_prefixes):
+    """The per-hit ``Prefix.containing`` formulation of the split."""
+    lengths = {p.length for p in aliased_prefixes}
+    aliased, clean = set(), set()
+    for addr in hits:
+        value = int(addr)
+        flagged = any(
+            Prefix.containing(value, length) in aliased_prefixes
+            for length in lengths
+        )
+        (aliased if flagged else clean).add(value)
+    return aliased, clean
+
+
+# Hits clustered around a few bases, so prefixes hold several hits and
+# aliased prefixes of mixed lengths actually catch some of them.
+clustered_hits = st.lists(
+    st.tuples(
+        st.sampled_from([0x20010DB8 << 96, (0x2A000001 << 96) | (7 << 64), 0]),
+        st.integers(min_value=0, max_value=(1 << 40) - 1),
+    ).map(lambda t: t[0] | t[1]),
+    max_size=60,
+)
+
+
+class TestMaskedGroupingParity:
+    @settings(max_examples=40)
+    @given(clustered_hits, st.sampled_from([0, 32, 64, 88, 96, 100, 112, 127, 128]))
+    def test_group_matches_containing(self, hits, length):
+        ours = group_hits_by_prefix(hits, length)
+        oracle = _group_by_containing(hits, length)
+        assert list(ours.items()) == list(oracle.items())
+
+    @settings(max_examples=40)
+    @given(
+        clustered_hits,
+        st.lists(
+            st.tuples(addresses, st.sampled_from([48, 64, 96, 104, 112, 128])),
+            max_size=6,
+        ),
+        st.lists(st.integers(min_value=0, max_value=59), max_size=4),
+        st.sampled_from([64, 96, 112]),
+    )
+    def test_split_matches_containing(self, hits, random_prefixes, picks, length):
+        aliased = {Prefix.containing(a, n) for a, n in random_prefixes}
+        # Also alias prefixes that really contain some of the hits.
+        aliased |= {Prefix.containing(hits[i], length) for i in picks if i < len(hits)}
+        assert split_hits(hits, aliased) == _split_by_containing(hits, aliased)
+
+
 class TestBgpProperties:
     @settings(max_examples=30)
     @given(

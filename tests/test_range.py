@@ -6,7 +6,7 @@ import pytest
 
 from repro.ipv6.nybble import FULL_MASK
 from repro.ipv6.prefix import Prefix
-from repro.ipv6.range_ import NybbleRange, RangeError, spanning_range
+from repro.ipv6.range_ import NybbleRange, RangeError, expand_new_arr, spanning_range
 
 from conftest import addr
 
@@ -219,6 +219,12 @@ class TestEnumeration:
         b = NybbleRange.parse("2001:db9::?")
         with pytest.raises(RangeError):
             list(b.iter_new_ints(a))
+
+    def test_expand_new_arr_requires_subset(self):
+        a = NybbleRange.parse("2001:db8::1")
+        b = NybbleRange.parse("2001:db9::?")
+        with pytest.raises(RangeError):
+            expand_new_arr(b, a)
 
     def test_difference_size(self):
         old = NybbleRange.parse("2001:db8::[1-3]")

@@ -10,8 +10,9 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.ipv6.addrplane import unpack
 from repro.ipv6.nybble import FULL_MASK, NYBBLE_COUNT
-from repro.ipv6.range_ import NybbleRange
+from repro.ipv6.range_ import NybbleRange, expand_new_arr
 
 addresses = st.integers(min_value=0, max_value=(1 << 128) - 1)
 
@@ -88,6 +89,30 @@ class TestEnumerationProperties:
         assert set(diff) == new_values - old_values
         assert len(diff) == len(set(diff))
         assert len(diff) == new.difference_size(old)
+
+    @settings(max_examples=60)
+    @given(
+        small_ranges(max_dynamic=3),
+        st.lists(
+            st.tuples(st.integers(0, NYBBLE_COUNT - 1), st.integers(0, FULL_MASK)),
+            max_size=3,
+        ),
+    )
+    def test_expand_new_arr_matches_iter_new_ints(self, old, widenings):
+        # Widen some positions of ``old`` (possibly none, giving
+        # new == old and an empty difference).
+        masks = list(old.masks)
+        for pos, extra in widenings:
+            masks[pos] |= extra
+        new = NybbleRange(masks)
+        assume(new.size() <= 8192)
+        hi, lo = expand_new_arr(new, old)
+        assert unpack(hi, lo) == list(new.iter_new_ints(old))
+
+    def test_expand_new_arr_empty_when_equal(self):
+        r = NybbleRange.parse("2001:db8::[1-3]?")
+        hi, lo = expand_new_arr(r, r)
+        assert len(hi) == len(lo) == 0
 
     @settings(max_examples=30)
     @given(small_ranges(max_dynamic=3))
