@@ -3,7 +3,10 @@
 Runs a Figure-2-style seed-count sweep, timing each tier on both the
 vector kernel (``run_6gen``) and the Algorithm 1 reference oracle
 (``_run_6gen_reference``), verifying on every run that the two produce
-identical target sets, and writes the medians and speedups to
+identical target sets, and checks resumption: a run at a third of the
+budget, extended to two thirds and then to the full budget, must equal
+the fresh vector run in clusters, target columns, sample, budget use
+and iterations.  Writes the medians and speedups to
 ``benchmarks/results/BENCH_sixgen.json`` (see DESIGN.md "Performance"
 for how to read it).
 
@@ -26,13 +29,39 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import experiments as ex  # noqa: E402
-from repro.core.sixgen import _run_6gen_reference, run_6gen  # noqa: E402
+from repro.core.sixgen import (  # noqa: E402
+    SixGen,
+    SixGenConfig,
+    _run_6gen_reference,
+    run_6gen,
+)
 from repro.telemetry.timer import time_call  # noqa: E402
 
 FULL_TIERS = (30, 100, 300, 1000, 2000)
 QUICK_TIERS = (30, 100, 300)
 BUDGET = 10_000
 SCALE = 0.3
+
+
+def signature(result) -> tuple:
+    """Everything a resumed run must share with a fresh one."""
+    hi, lo = result.target_columns_by_density()
+    return (
+        sorted((c.range.masks, c.seed_count) for c in result.clusters),
+        hi.tolist(),
+        lo.tolist(),
+        result.sampled,
+        result.budget_used,
+        result.iterations,
+    )
+
+
+def resumed_run(subset: list[int]):
+    """One run at BUDGET/3, extended to 2*BUDGET/3 and then to BUDGET."""
+    gen = SixGen(subset, SixGenConfig(budget=BUDGET // 3))
+    gen.run()
+    gen.extend(2 * BUDGET // 3)
+    return gen.extend(BUDGET)
 
 
 def bench_tier(pool: list[int], n: int, repeats: int) -> dict:
@@ -48,6 +77,8 @@ def bench_tier(pool: list[int], n: int, repeats: int) -> dict:
             )
             timings[vector].append(elapsed)
         if results[True].target_set() != results[False].target_set():
+            identical = False
+        if signature(resumed_run(subset)) != signature(results[True]):
             identical = False
     baseline = statistics.median(timings[False])
     vectorised = statistics.median(timings[True])
@@ -103,7 +134,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.out}")
 
     if not all(row["identical"] for row in rows):
-        print("DIVERGENCE: vectorised kernel output differs from reference")
+        print(
+            "DIVERGENCE: vectorised kernel output differs from reference, "
+            "or a resumed run differs from a fresh one"
+        )
         return 1
     return 0
 

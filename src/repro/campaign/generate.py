@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import time
-from typing import Mapping, Sequence
+from typing import Mapping, MutableMapping, Sequence
 
-from ..core.sixgen import SixGenResult, run_6gen
+from ..core.sixgen import SixGen, SixGenConfig, SixGenResult
 from ..ipv6.prefix import Prefix
 from ..telemetry.spans import Telemetry, ensure
 from ..analysis.grouping import (
@@ -27,6 +27,7 @@ from ..analysis.grouping import (
 def _run_prefix(
     item: tuple[Prefix, list[int], int, bool, str, int | None],
     telemetry: Telemetry | None = None,
+    generators: "MutableMapping[Prefix, SixGen] | None" = None,
 ) -> SixGenResult:
     """Run 6Gen on one prefix and materialise its packed target columns.
 
@@ -36,12 +37,24 @@ def _run_prefix(
     serialising in the parent.  The result carries only the columns
     (two raw uint64 buffers, about 160 KB per prefix at a 10 k budget),
     never a boxed-int target set, which is what a pool pickles back.
+
+    With a ``generators`` store, a prefix that already has a generator
+    there resumes it at the new budget (:meth:`SixGen.extend`) instead
+    of clustering from scratch; a new one is stored for the next call.
     """
     prefix, seeds, prefix_budget, loose, ledger, rng_seed = item
-    result = run_6gen(
-        seeds, prefix_budget, loose=loose, ledger=ledger, rng_seed=rng_seed,
-        telemetry=telemetry,
-    )
+    gen = generators.get(prefix) if generators is not None else None
+    if gen is None:
+        config = SixGenConfig(
+            budget=prefix_budget, loose=loose, ledger=ledger, rng_seed=rng_seed
+        )
+        gen = SixGen(seeds, config, telemetry=telemetry)
+        if generators is not None:
+            generators[prefix] = gen
+        result = gen.run()
+    else:
+        gen.telemetry = ensure(telemetry)
+        result = gen.extend(prefix_budget)
     result.target_columns_by_density()  # cached on the result
     return result
 
@@ -72,6 +85,7 @@ def generate_per_prefix(
     telemetry: Telemetry | None = None,
     isolate_failures: bool = True,
     progress_sink=None,
+    generators: "MutableMapping[Prefix, SixGen] | None" = None,
 ) -> MultiPrefixRun:
     """Run 6Gen on every routed prefix's seed group.
 
@@ -86,6 +100,13 @@ def generate_per_prefix(
     worker and one loop; the pool only decides where the worker runs.
     Results, events and counters are identical at any worker count
     because every prefix run is independently seeded.
+
+    ``generators`` is a store of resumable per-prefix runs, kept by a
+    caller that generates the same groups again at growing budgets
+    (the phased campaign).  A prefix found there is extended rather
+    than re-clustered, with a result bit-identical to a fresh run at
+    its new budget; new runs are added to it.  Stored generators live
+    in this process, so with a store ``processes`` is ignored.
 
     ``telemetry`` records a ``generate`` span, one ``generate.prefix``
     span per prefix, per-prefix ``progress`` events (each with its
@@ -115,6 +136,8 @@ def generate_per_prefix(
     out = MultiPrefixRun()
     started = time.perf_counter()
     targets_total = 0
+    if generators is not None:
+        processes = None
     with tele.span("generate", prefixes=len(work), budget=budget), _pool(
         processes, len(work)
     ) as pool:
@@ -140,7 +163,7 @@ def generate_per_prefix(
                 ):
                     try:
                         if pool is None:
-                            result = _run_prefix(item, telemetry)
+                            result = _run_prefix(item, telemetry, generators)
                         else:
                             result = futures.pop(prefix).result()
                     except Exception:
@@ -148,9 +171,13 @@ def generate_per_prefix(
                             raise
                         # Retry once, in the parent — same args, same
                         # seed, so a success is the run the first
-                        # attempt would have produced.
+                        # attempt would have produced.  A stored
+                        # generator the failure may have left half-grown
+                        # is replaced by a fresh one.
                         tele.count("generate.prefix_retries")
-                        result = _run_prefix(item, telemetry)
+                        if generators is not None:
+                            generators.pop(prefix, None)
+                        result = _run_prefix(item, telemetry, generators)
                     targets = len(result.target_columns_by_density()[0])
                     tele.count("generate.targets_total", targets)
             except Exception as exc:

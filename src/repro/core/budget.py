@@ -15,9 +15,10 @@ implement the two reasonable readings of that sentence:
   deduplicated only when emitted.
 
 Both expose the same interface (:meth:`try_charge` /
-:meth:`charge_partial`) so :class:`~repro.core.sixgen.SixGen` can switch
-between them; the ``bench_ablation_budget`` benchmark measures the
-tradeoff.
+:meth:`charge_partial`, plus :meth:`snapshot` / :meth:`restore` so a
+resumable 6Gen run can roll its final-growth sample back out) and
+:class:`~repro.core.sixgen.SixGen` can switch between them; the
+``bench_ablation_budget`` benchmark measures the tradeoff.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class BudgetLedger(Protocol):
     def charge_partial(
         self, new_range: NybbleRange, old_range: NybbleRange, rng: random.Random
     ) -> list[int]: ...
+
+    def snapshot(self) -> tuple: ...
+
+    def restore(self, snapshot: tuple) -> None: ...
 
 
 class ExactLedger:
@@ -118,6 +123,15 @@ class ExactLedger:
         self.used += len(hi)
         return unpack(hi, lo)
 
+    def snapshot(self) -> tuple:
+        """The charged state (``used`` and the covered set), for :meth:`restore`."""
+        return self.used, self._covered.snapshot()
+
+    def restore(self, snapshot: tuple) -> None:
+        """Undo every charge made since ``snapshot``; the limit is kept."""
+        self.used, runs = snapshot
+        self._covered.restore(runs)
+
     def covered(self) -> Iterator[int]:
         """All covered addresses (seeds plus generated targets), ascending."""
         return iter(unpack(*self._covered.columns()))
@@ -164,6 +178,15 @@ class RangeSumLedger:
         self._sampled.extend(picked)
         self.used += len(picked)
         return picked
+
+    def snapshot(self) -> tuple:
+        """The charged state (``used`` and the sample length), for :meth:`restore`."""
+        return self.used, len(self._sampled)
+
+    def restore(self, snapshot: tuple) -> None:
+        """Undo every charge made since ``snapshot``; the limit is kept."""
+        self.used, sampled = snapshot
+        del self._sampled[sampled:]
 
     @property
     def sampled(self) -> list[int]:

@@ -25,6 +25,13 @@ network from ever growing a cluster — contradicting both the prose
 ("iterates until … all seeds belong to a single cluster") and Figure 5b
 (most 2–10-seed prefixes have grown clusters).  We apply the unifying
 growth (budget permitting) and then stop.
+
+Resumption: the selection rule never reads the budget.  Only the growth
+that overflows it and the final random sample depend on the budget, so
+the growth sequence at a small budget is a prefix of the sequence at a
+larger one.  :meth:`SixGen.extend` uses this to continue a finished run
+at a larger budget instead of clustering from scratch; its result is
+bit-identical to a fresh run at the larger budget.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -240,7 +247,7 @@ class _HeapEntry:
 
 
 class SixGen:
-    """A single 6Gen run over one seed set (typically one routed prefix).
+    """A resumable 6Gen run over one seed set (typically one routed prefix).
 
     The hot path is the vector kernel: one blocked all-pairs numpy pass
     for singleton initialisation, per-cluster distance vectors updated
@@ -248,6 +255,9 @@ class SixGen:
     of spans, and heap-based growth selection.  Its output is
     bit-for-bit that of the Algorithm 1 transcription kept as the
     test-only oracle :func:`_run_6gen_reference`.
+
+    :meth:`run` keeps the clusters, heap, distance vectors and ledger,
+    and :meth:`extend` continues from them at a larger budget.
     """
 
     #: Recorded as ``kernel`` in the ``sixgen_summary`` telemetry event.
@@ -269,7 +279,7 @@ class SixGen:
         self.candidate_scans = 0
         self.seeds = sorted(set(int(s) for s in seeds))
         self.rng = random.Random(config.rng_seed)
-        self.tree = NybbleTree(self.seeds)
+        self._tree: NybbleTree | None = None
         self.matrix = SeedMatrix(self.seeds)
         self.ledger = make_ledger(config.ledger, config.budget, self.seeds)
         self._clusters: dict[int, Cluster] = {}
@@ -290,6 +300,17 @@ class SixGen:
         # it keeps the linear scan.
         self._use_heap = config.use_growth_cache
         self._heap: list[_HeapEntry] = []
+
+    @property
+    def tree(self) -> NybbleTree:
+        """The seed nybble tree, built on first use.
+
+        Only large candidate sets (and the reference oracle) count
+        seeds on it, so most runs never build one.
+        """
+        if self._tree is None:
+            self._tree = NybbleTree(self.seeds)
+        return self._tree
 
     # -- internals ---------------------------------------------------------
     def _set_best(self, cid: int, growth: Growth | None) -> None:
@@ -575,54 +596,88 @@ class SixGen:
         return doomed
 
     # -- driver --------------------------------------------------------------
+    def _grow(self) -> list[int]:
+        """Algorithm 1's loop from the current state; returns the final sample."""
+        while True:
+            selected = self._select_growth()
+            if selected is None:
+                break  # every remaining cluster already holds all seeds
+            cid, growth = selected
+            old_range = self._clusters[cid].range
+            try:
+                self.ledger.try_charge(growth.new_range, old_range)
+            except BudgetExceeded:
+                return self._sample_final_growth(growth.new_range, old_range)
+            self.iterations += 1
+            self._apply_growth(cid, growth)
+            if growth.new_seed_count == len(self.seeds):
+                # All seeds unified: the unified range holds every other
+                # cluster's range, so those were absorbed and a later
+                # call finds no growth left.
+                break
+        return []
+
+    def _sample_final_growth(
+        self, new_range: NybbleRange, old_range: NybbleRange
+    ) -> list[int]:
+        """Draw the overflowing growth's sample without committing it.
+
+        The sample is the only budget-dependent part of a run, so the
+        RNG and the ledger go back to where they stood before it was
+        drawn.  The generator thus rests at the overflowing growth (its
+        heap entry is never popped), which is where :meth:`extend`
+        re-enters the loop.
+        """
+        rng_state = self.rng.getstate()
+        ledger_state = self.ledger.snapshot()
+        sampled = self.ledger.charge_partial(new_range, old_range, self.rng)
+        self.rng.setstate(rng_state)
+        self.ledger.restore(ledger_state)
+        return sampled
+
     def run(self) -> SixGenResult:
-        """Execute 6Gen to completion and return the clusters and targets."""
+        """Run 6Gen up to the current budget and return the clusters and targets.
+
+        The first call clusters from scratch; a later call (through
+        :meth:`extend`) resumes from the kept state.  Each result is its
+        own snapshot, which later calls never change.  Telemetry
+        records the work of this call only, so counters summed over a
+        run and its extensions equal those of one fresh run.
+        """
         tele = self.telemetry
         start = time.perf_counter()
+        start_iterations, start_scans = self.iterations, self.candidate_scans
         sampled: list[int] = []
         with tele.span(
             "sixgen", seeds=len(self.seeds), budget=self.config.budget
         ):
             if self.seeds:
-                self._init_clusters()
-                while True:
-                    selected = self._select_growth()
-                    if selected is None:
-                        break  # every remaining cluster already holds all seeds
-                    cid, growth = selected
-                    old_range = self._clusters[cid].range
-                    try:
-                        self.ledger.try_charge(growth.new_range, old_range)
-                    except BudgetExceeded:
-                        sampled = self.ledger.charge_partial(
-                            growth.new_range, old_range, self.rng
-                        )
-                        break
-                    self.iterations += 1
-                    self._apply_growth(cid, growth)
-                    if growth.new_seed_count == len(self.seeds):
-                        break  # all seeds unified into a single cluster
+                if not self._clusters:
+                    self._init_clusters()
+                sampled = self._grow()
+        iterations = self.iterations - start_iterations
+        scans = self.candidate_scans - start_scans
 
         result = SixGenResult(
             clusters=list(self._clusters.values()),
             seed_count=len(self.seeds),
             budget_limit=self.config.budget,
-            budget_used=self.ledger.used,
+            budget_used=self.ledger.used + len(sampled),
             iterations=self.iterations,
             sampled=sampled,
             elapsed_seconds=time.perf_counter() - start,
         )
         if isinstance(self.ledger, ExactLedger):
-            result._covered_count = self.ledger.covered_count()
+            result._covered_count = self.ledger.covered_count() + len(sampled)
         if tele.enabled:
             grown = sum(1 for c in result.clusters if not c.is_singleton())
             tele.count("sixgen.runs")
             tele.count(f"sixgen.{self.kernel}_runs")
             tele.count("sixgen.seeds", result.seed_count)
-            tele.count("sixgen.iterations", result.iterations)
+            tele.count("sixgen.iterations", iterations)
             tele.count("sixgen.clusters_grown", grown)
             tele.count("sixgen.clusters_final", len(result.clusters))
-            tele.count("sixgen.candidate_scans", self.candidate_scans)
+            tele.count("sixgen.candidate_scans", scans)
             tele.count("sixgen.budget_used", result.budget_used)
             tele.count("sixgen.sampled_targets", len(result.sampled))
             tele.observe("sixgen.run_seconds", result.elapsed_seconds)
@@ -630,17 +685,37 @@ class SixGen:
                 "sixgen_summary",
                 {
                     "seeds": result.seed_count,
-                    "iterations": result.iterations,
+                    "iterations": iterations,
                     "clusters": len(result.clusters),
                     "clusters_grown": grown,
                     "budget_used": result.budget_used,
                     "budget_limit": result.budget_limit,
-                    "candidate_scans": self.candidate_scans,
+                    "candidate_scans": scans,
                     "kernel": self.kernel,
                     "seconds": round(result.elapsed_seconds, 6),
                 },
             )
         return result
+
+    def extend(self, budget: int) -> SixGenResult:
+        """Continue at a larger ``budget``, as if the run had started with it.
+
+        Raises the limit and re-enters the loop at the growth that
+        overflowed the old one; the old final-growth sample was never
+        committed, so it is simply drawn afresh.  The result is
+        bit-identical to a fresh run at ``budget`` with the same
+        configuration.  After every seed has joined one cluster only
+        the reported limit changes.  A budget below the current one
+        raises :class:`ValueError`.
+        """
+        if budget < self.config.budget:
+            raise ValueError(
+                f"cannot extend a 6Gen run from budget {self.config.budget} "
+                f"down to {budget}"
+            )
+        self.config = replace(self.config, budget=budget)
+        self.ledger.limit = budget
+        return self.run()
 
 
 def run_6gen(

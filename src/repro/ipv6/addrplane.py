@@ -301,6 +301,18 @@ class ColumnDeduper:
         first.sort()
         return hi[first], lo[first]
 
+    def snapshot(self) -> tuple[np.ndarray, ...]:
+        """The seen set as it is now, for :meth:`restore`.
+
+        :meth:`add` only appends and replaces runs, never writes into
+        one, so holding the current run arrays is the whole snapshot.
+        """
+        return tuple(self._runs)
+
+    def restore(self, snapshot: tuple[np.ndarray, ...]) -> None:
+        """Forget every address added since ``snapshot`` was taken."""
+        self._runs = list(snapshot)
+
 
 # -- frozen lookup tables ---------------------------------------------------
 class FrozenKeySet:

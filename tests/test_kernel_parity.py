@@ -7,6 +7,9 @@ budget use, same iteration count.  These tests sweep randomized seed
 pools across the full configuration matrix (loose/tight ranges,
 exact/range-sum ledgers, growth cache on/off) and also check the
 kernel's building blocks against their scalar references.
+
+Resumption has its own oracle: a run extended over a sequence of
+growing budgets must equal a fresh run at the final budget.
 """
 
 import itertools
@@ -17,7 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidates import SeedMatrix, find_candidates_python
-from repro.core.sixgen import _run_6gen_reference, run_6gen
+from repro.core.sixgen import (
+    SixGen,
+    SixGenConfig,
+    _run_6gen_reference,
+    run_6gen,
+)
 from repro.ipv6.nybble_tree import NybbleTree
 from repro.ipv6.range_ import NybbleRange
 
@@ -42,6 +50,12 @@ def run_signature(result):
         result.budget_used,
         result.iterations,
     )
+
+
+def resume_signature(result):
+    """``run_signature`` plus the densest-first target columns."""
+    hi, lo = result.target_columns_by_density()
+    return run_signature(result) + (hi.tolist(), lo.tolist())
 
 
 def assert_candidates_agree(seeds, result):
@@ -122,6 +136,75 @@ class TestEndToEndParity:
             streamed = list(result.iter_targets_by_density())
             assert len(streamed) == len(set(streamed))
             assert set(streamed) == result.target_set()
+
+
+class TestResumeParity:
+    """``SixGen.extend`` against a fresh ``run_6gen`` at the same budget."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=2, max_value=40),
+        st.lists(st.integers(min_value=0, max_value=800), min_size=1, max_size=4),
+        st.booleans(),
+        st.sampled_from(["exact", "range-sum"]),
+        st.booleans(),
+    )
+    def test_extend_matches_fresh_run(
+        self, pool_seed, n, steps, loose, ledger, cache
+    ):
+        """Random quota sequences, zero steps included: every result of
+        the extended run equals a fresh run at its cumulative budget."""
+        pool = make_pool(random.Random(pool_seed), n)
+        budgets = list(itertools.accumulate(steps))
+        config = SixGenConfig(
+            budget=budgets[0], loose=loose, ledger=ledger,
+            use_growth_cache=cache,
+        )
+        gen = SixGen(pool, config)
+        results = [gen.run()] + [gen.extend(b) for b in budgets[1:]]
+        for budget, result in zip(budgets, results):
+            fresh = run_6gen(
+                pool, budget, loose=loose, ledger=ledger, use_growth_cache=cache
+            )
+            assert resume_signature(result) == resume_signature(fresh)
+            assert result.budget_limit == budget
+
+    @pytest.mark.parametrize("loose,ledger", [(True, "exact"), (False, "range-sum")])
+    def test_equal_steps(self, loose, ledger):
+        pool = make_pool(random.Random(11), 40)
+        gen = SixGen(pool, SixGenConfig(budget=150, loose=loose, ledger=ledger))
+        gen.run()
+        for budget in (300, 450, 600):
+            assert resume_signature(gen.extend(budget)) == resume_signature(
+                run_6gen(pool, budget, loose=loose, ledger=ledger)
+            )
+
+    def test_lower_budget_rejected(self):
+        gen = SixGen(make_pool(random.Random(3), 12), SixGenConfig(budget=200))
+        gen.run()
+        with pytest.raises(ValueError, match="cannot extend"):
+            gen.extend(199)
+
+    def test_extend_after_unification_is_a_no_op(self):
+        pool = make_pool(random.Random(4), 6, networks=1)
+        gen = SixGen(pool, SixGenConfig(budget=10**9))
+        first = gen.run()
+        assert len(first.clusters) == 1  # every seed in one cluster
+        again = gen.extend(2 * 10**9)
+        assert gen.iterations == first.iterations
+        assert resume_signature(again) == resume_signature(first)
+        assert again.budget_limit == 2 * 10**9
+
+    def test_earlier_result_unchanged_by_extend(self):
+        """An earlier result keeps its own state; its lazily built
+        columns still describe the smaller budget."""
+        pool = make_pool(random.Random(8), 30)
+        gen = SixGen(pool, SixGenConfig(budget=100))
+        early = gen.run()
+        gen.extend(2_000)
+        assert resume_signature(early) == resume_signature(run_6gen(pool, 100))
+        assert early.budget_limit == 100
 
 
 class TestKernelBuildingBlocks:

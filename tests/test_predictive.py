@@ -20,6 +20,7 @@ from repro.campaign import (
     PrefixProgress,
 )
 from repro.campaign.generate import generate_per_prefix
+from repro.core.sixgen import run_6gen
 from repro.ipv6.addrplane import pack
 from repro.predictive import (
     HitRateModel,
@@ -208,6 +209,40 @@ class TestPhasedCampaign:
         assert result.raw_hits == base_result.raw_hits
         assert result.scan.stats == base_result.scan.stats
         assert _progress_snapshot(campaign) == _progress_snapshot(baseline)
+
+    def test_phase_targets_match_fresh_runs_at_cumulative_quota(self):
+        """Each phase's per-prefix columns equal a fresh 6Gen run at that
+        phase's cumulative quota, though the campaign extends one run
+        per prefix across phases."""
+        context = _context()
+        spec = _spec()
+        campaign = _campaign(context, spec, allocation=_allocator(context))
+        campaign.begin()
+        runs = []
+        while True:
+            if campaign.run_output is not None and (
+                not runs or campaign.run_output is not runs[-1]
+            ):
+                runs.append(campaign.run_output)
+            if not campaign.step():
+                break
+        campaign.finish()
+        assert len(runs) > 1
+        phases_per_prefix = {}
+        for run in runs:
+            for prefix, prefix_run in run.runs.items():
+                phases_per_prefix[prefix] = phases_per_prefix.get(prefix, 0) + 1
+                fresh = run_6gen(
+                    prefix_run.seeds, prefix_run.budget, loose=spec.loose
+                )
+                hi, lo = prefix_run.target_columns()
+                fresh_hi, fresh_lo = fresh.target_columns_by_density()
+                assert hi.tolist() == fresh_hi.tolist()
+                assert lo.tolist() == fresh_lo.tolist()
+                assert prefix_run.result.budget_used == fresh.budget_used
+                assert prefix_run.result.budget_used <= prefix_run.budget
+        assert max(phases_per_prefix.values()) > 1  # extension was exercised
+        assert campaign._generators == {}  # dropped after the last phase
 
     def test_allocation_off_matches_reference_pipeline(self):
         """allocation=None is byte-for-byte the pre-hook campaign."""

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sixgen import _run_6gen_reference, run_6gen
+from repro.core.sixgen import SixGen, SixGenConfig, _run_6gen_reference, run_6gen
 from repro.ipv6.prefix import Prefix
 from repro.scanner.blacklist import Blacklist
 from repro.scanner.dealias import dealias
@@ -530,6 +530,37 @@ class TestSixGenParity:
         assert counters["sixgen.clusters_final"] == len(plain.clusters)
         assert counters["sixgen.budget_used"] == plain.budget_used
         assert counters["sixgen.candidate_scans"] > 0
+
+    def test_extended_run_records_only_new_work(self):
+        """A run at B/3 extended to B counts, summed over both calls, the
+        iterations and candidate scans of one fresh run at B."""
+        seeds = [addr(f"2001:db8::{i:x}0") for i in range(1, 30)]
+        seeds += [addr(f"2001:db8:1::{i:x}") for i in range(1, 20)]
+        budget = 10_000
+        fresh_tele = Telemetry(MemorySink())
+        fresh = run_6gen(seeds, budget, telemetry=fresh_tele)
+        sink = MemorySink()
+        tele = Telemetry(sink)
+        gen = SixGen(seeds, SixGenConfig(budget=budget // 3), telemetry=tele)
+        partial = gen.run()
+        resumed = gen.extend(budget)
+        assert 0 < partial.iterations < resumed.iterations
+        assert resumed.iterations == fresh.iterations
+        plain = run_6gen(seeds, budget)  # telemetry off
+        for other in (fresh, plain):
+            assert resumed.target_set() == other.target_set()
+            assert resumed.sampled == other.sampled
+        counters = tele.snapshot().counters
+        fresh_counters = fresh_tele.snapshot().counters
+        for name in ("sixgen.iterations", "sixgen.candidate_scans"):
+            assert counters[name] == fresh_counters[name]
+        summaries = [e for e in sink.events if e["event"] == "sixgen_summary"]
+        assert [e["iterations"] for e in summaries] == [
+            partial.iterations, fresh.iterations - partial.iterations
+        ]
+        assert sum(e["candidate_scans"] for e in summaries) == (
+            fresh_counters["sixgen.candidate_scans"]
+        )
 
     def test_kernel_flag_recorded(self):
         seeds = [addr(f"2001:db8::{i:x}") for i in range(1, 10)]
