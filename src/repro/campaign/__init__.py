@@ -5,9 +5,7 @@ target generation streaming packed ``(hi, lo)`` columns, scan-side
 dedupe and cyclic-permutation ordering, budgeted probing with retry
 rounds, crash-safe checkpointing, and §6.2 dealiasing — as composable
 stages over the packed column plane.  ``run_full_scan``
-(:mod:`repro.analysis`) and the CLI are thin wrappers over this layer;
-the multi-tenant scheduler (:mod:`repro.service`) drives the same
-stages batch-by-batch.
+(:mod:`repro.analysis`) and the CLI are thin wrappers over this layer.
 """
 
 from .allocation import AllocationPolicy, PrefixProgress

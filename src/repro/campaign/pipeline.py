@@ -10,12 +10,12 @@ ordering + budgeted probing with retry rounds
 
 It is driven stepwise: :meth:`Campaign.begin` / :meth:`step` /
 :meth:`finish`, built on :class:`~repro.scanner.execution.ScanExecution`.
-Each ``step()`` probes one batch; a scheduler (the multi-tenant service
-in :mod:`repro.service`) interleaves steps of many campaigns over one
-process.  Because every probe verdict is a pure function of ``(key,
-address, attempt)``, interleaving never changes what any one campaign
-observes.  :meth:`Campaign.run` — what ``run_full_scan`` wraps — is
-just that loop run to completion.
+Each ``step()`` probes one batch, and a caller may stop between steps
+(:meth:`Campaign.interrupt`) and resume later from the checkpoint.
+Because every probe verdict is a pure function of ``(key, address,
+attempt)``, stepping other campaigns in between never changes what one
+campaign observes.  :meth:`Campaign.run` — what ``run_full_scan``
+wraps — is just that loop run to completion.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.models import WorkerCrash
     from ..ipv6.prefix import Prefix
     from ..scanner.execution import ScanExecution
-    from ..scanner.schedule import TenantBudget
     from .allocation import AllocationPolicy, PrefixProgress
 
 #: In-loop §6.2 alias testing (phased path): only prefixes that
@@ -154,9 +153,6 @@ class Campaign:
     each phase generating and scanning only its slice's fresh targets.
     With ``allocation=None`` (the default) nothing changes: the
     single-phase paths below are byte-for-byte the pre-hook behaviour.
-    ``budget_ledger`` optionally bounds phase planning by a shared
-    :class:`~repro.scanner.schedule.TenantBudget` (the service passes
-    its tenant's ledger, so re-splits never plan past the tenant cap).
     """
 
     def __init__(
@@ -171,7 +167,6 @@ class Campaign:
         name: str = "campaign",
         targets=None,
         allocation: "AllocationPolicy | None" = None,
-        budget_ledger: "TenantBudget | None" = None,
     ):
         if allocation is not None and targets is not None:
             raise ValueError(
@@ -188,7 +183,6 @@ class Campaign:
         self._tele = ensure(telemetry)
         self.checkpoint_path = checkpoint_path
         self.allocation = allocation
-        self.budget_ledger = budget_ledger
         self.state = "created"
         self.run_output: "MultiPrefixRun | None" = None
         self.execution: "ScanExecution | None" = None
@@ -218,10 +212,10 @@ class Campaign:
     def probes_sent(self) -> int:
         """Probes charged so far, across all phases.
 
-        The quantity schedulers charge tenant budgets with: completed
-        phases' folded stats (scan probes plus in-loop alias-test
-        probes) and the live execution's counter.  For single-phase
-        campaigns this is exactly the execution's counter.
+        Completed phases' folded stats (scan probes plus in-loop
+        alias-test probes) and the live execution's counter, so a
+        caller stepping the campaign can stop at a probe count.  For
+        single-phase campaigns this is exactly the execution's counter.
         """
         sent = (
             self._completed_stats.probes_sent
@@ -248,7 +242,7 @@ class Campaign:
             raise
         return self.finish()
 
-    # -- the stepwise path (what the service drives) -------------------
+    # -- the stepwise path ----------------------------------------------
 
     def begin(
         self, *, resume: bool = False, crash: "WorkerCrash | None" = None
@@ -425,11 +419,8 @@ class Campaign:
         self.state = "running"
 
     def _remaining_budget(self) -> int:
-        """Campaign budget still unspent, bounded by the tenant ledger."""
-        remaining = self._total_budget - self._completed_stats.probes_sent
-        if self.budget_ledger is not None:
-            remaining = min(remaining, self.budget_ledger.remaining())
-        return max(remaining, 0)
+        """Campaign budget still unspent."""
+        return max(self._total_budget - self._completed_stats.probes_sent, 0)
 
     def _advance_phase(self) -> bool:
         """Plan phases until one starts scanning; False when drained."""

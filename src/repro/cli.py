@@ -7,25 +7,21 @@ Subcommands mirror the toolchain of the paper:
 * ``scan``       — scan a target hitlist against the simulated Internet;
 * ``dealias``    — run the §6.2 dealiasing pipeline on a hit list;
 * ``simulate``   — build the simulated Internet and emit its seed snapshot;
-* ``service``    — run many tenant campaigns through the multi-tenant
-  scheduler over one shared simulated Internet;
 * ``hitlist``    — inspect (or export from) a living-hitlist store;
 * ``experiment`` — run a named paper experiment and print its table/figure;
 * ``report``     — full-pipeline markdown report, or a telemetry run
   summary / two-run delta when given ``.jsonl`` files.
 
-The ``scan`` / ``6gen`` / ``dealias`` / ``service`` commands accept
-``--telemetry PATH`` to stream metrics, spans, and a run manifest to a
-JSONL file (see ``docs/observability.md``), and
-``scan`` / ``6gen`` / ``dealias`` / ``service`` accept ``--quiet`` /
-``--json`` to replace the human output with nothing, or with a single
+The ``scan`` / ``6gen`` / ``dealias`` commands accept ``--telemetry
+PATH`` to stream metrics, spans, and a run manifest to a JSONL file
+(see ``docs/observability.md``), and ``--quiet`` / ``--json`` to
+replace the human output with nothing, or with a single
 machine-readable summary line.
 
-``scan`` and ``service`` additionally accept ``--epochs N
---churn-seed S`` to run longitudinally: the world advances one churn
-epoch between passes (see :mod:`repro.simnet.dynamics`), and ``scan
---hitlist PATH`` feeds every pass's outcome into a living-hitlist
-store (:mod:`repro.hitlist`).
+``scan`` additionally accepts ``--epochs N --churn-seed S`` to run
+longitudinally: the world advances one churn epoch between passes
+(see :mod:`repro.simnet.dynamics`), and ``scan --hitlist PATH`` feeds
+every pass's outcome into a living-hitlist store (:mod:`repro.hitlist`).
 """
 
 from __future__ import annotations
@@ -546,113 +542,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_service(args: argparse.Namespace) -> int:
-    """Run N tenant campaigns through the multi-tenant scheduler."""
-    from .campaign import CampaignSpec
-    from .service import CampaignService, TenantPolicy
-    from .simnet.bgp import group_by_routed_prefix
-
-    out = _Output(args)
-    if args.tenants < 1:
-        out.error("--tenants must be >= 1")
-        return 1
-    internet = _load_internet(args)
-    seeds = collect_seeds(internet, rng_seed=args.dns_seed)
-    groups = group_by_routed_prefix(seeds.addresses(), internet.bgp)
-    telemetry = _open_telemetry(
-        args, "service",
-        {
-            "tenants": args.tenants,
-            "budget": args.budget,
-            "probe_budget": args.probe_budget,
-            "port": args.port,
-            "retries": args.retries,
-            "scale": args.scale,
-            "world_seed": args.world_seed,
-            "epochs": args.epochs,
-            "churn_seed": args.churn_seed,
-        },
-    )
-    spec = CampaignSpec(
-        budget=args.budget, port=args.port,
-        scan_config=ScanConfig(retries=args.retries),
-    )
-    dynamic = None
-    if args.epochs > 1:
-        from .simnet.dynamics import DynamicWorld
-
-        dynamic = DynamicWorld(
-            internet, churn_seed=args.churn_seed, telemetry=telemetry
-        )
-    try:
-        service = CampaignService(
-            internet.truth, internet.bgp, telemetry=telemetry
-        )
-        for i in range(args.tenants):
-            service.register_tenant(
-                f"tenant-{i + 1}",
-                TenantPolicy(
-                    probe_budget=args.probe_budget, quantum=args.quantum
-                ),
-            )
-        turns = 0
-        summaries = []
-        # Each epoch is a full submit-and-drain cycle: executions may
-        # not span an advance_to (the stale-world guard would trip), so
-        # the scheduler runs every campaign to completion before the
-        # world moves on.
-        for epoch in range(args.epochs):
-            if dynamic is not None:
-                dynamic.advance_to(epoch)
-            jobs = []
-            for i in range(args.tenants):
-                tenant = f"tenant-{i + 1}"
-                name = (
-                    f"{tenant}-epoch-{epoch}" if args.epochs > 1 else tenant
-                )
-                jobs.append(service.submit(tenant, groups, spec, name=name))
-            out.say(
-                (f"epoch {epoch}: " if args.epochs > 1 else "")
-                + f"submitted {len(jobs)} campaigns "
-                  f"(budget {args.budget}/prefix each)"
-            )
-            while service.step():
-                turns += 1
-                if args.progress_every and turns % args.progress_every == 0:
-                    for job_id in jobs:
-                        p = service.progress(job_id)
-                        if p["state"] in ("running", "queued"):
-                            out.say(
-                                f"  [{p['tenant']}] {p['state']}: "
-                                f"{p.get('probes_sent', 0)} probes, "
-                                f"{p.get('hits', 0)} hits"
-                            )
-            for job_id in jobs:
-                p = service.progress(job_id)
-                p["epoch"] = epoch
-                line = (f"{p['tenant']}: {p['state']}, "
-                        f"{p.get('probes_sent', 0)} probes, "
-                        f"{p.get('hits', 0)} hits")
-                if args.epochs > 1:
-                    line = f"epoch {epoch} {line}"
-                if p["state"] == "failed":
-                    line += f" ({p.get('error')})"
-                out.say(line)
-                summaries.append(p)
-    finally:
-        _close_telemetry(telemetry)
-    out.finish(
-        "service",
-        {
-            "tenants": args.tenants,
-            "epochs": args.epochs,
-            "turns": turns,
-            "jobs": summaries,
-        },
-    )
-    return 0 if all(s["state"] != "failed" for s in summaries) else 1
-
-
 _EXPERIMENTS = {
     "fig2": lambda a: ex.format_fig2(ex.fig2_runtime()),
     "fig3": lambda a: ex.format_fig3(ex.fig3_asn_cdf(budget=a.budget)),
@@ -998,48 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_world_options(p)
     p.add_argument("--dns-seed", type=int, default=7)
     p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser(
-        "service",
-        help="run many tenant campaigns through the multi-tenant scheduler",
-    )
-    p.add_argument(
-        "--tenants", type=int, default=2, metavar="N",
-        help="number of tenants, one campaign each (default: 2)",
-    )
-    p.add_argument(
-        "--budget", type=int, default=2_000,
-        help="per-prefix probe budget for each campaign",
-    )
-    p.add_argument(
-        "--probe-budget", type=int, default=None, metavar="N",
-        help="per-tenant total probe budget (default: unlimited); "
-             "exhausted tenants are interrupted with partial results",
-    )
-    p.add_argument("--port", type=int, default=80)
-    p.add_argument("--retries", type=int, default=0)
-    p.add_argument(
-        "--quantum", type=int, default=4, metavar="BATCHES",
-        help="probe batches per tenant per scheduler turn (default: 4)",
-    )
-    p.add_argument(
-        "--progress-every", type=int, default=0, metavar="TURNS",
-        help="print live per-tenant progress every N scheduler turns",
-    )
-    p.add_argument(
-        "--epochs", type=int, default=1, metavar="N",
-        help="repeat the full submit-and-drain cycle once per churn "
-             "epoch, advancing the world between cycles (default: 1)",
-    )
-    p.add_argument(
-        "--churn-seed", type=int, default=0,
-        help="PRF seed of the churn model (with --epochs)",
-    )
-    p.add_argument("--dns-seed", type=int, default=7)
-    add_world_options(p)
-    add_output_options(p)
-    add_telemetry_option(p)
-    p.set_defaults(func=_cmd_service)
 
     p = sub.add_parser("validate", help="validate a world file's network specs")
     p.add_argument("world", help="world file to check")

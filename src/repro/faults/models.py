@@ -28,10 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..scanner.schedule import RatePolicy, _mix64_np, mix64
+from ..ipv6.addrplane import _mix64_np, _prf_bits, _prf_unit, mix64
+from ..scanner.schedule import RatePolicy
 
 _M64 = (1 << 64) - 1
-_TWO64 = float(1 << 64)
 _TWO64_NP = np.float64(2**64)
 _ZERO64 = np.uint64(0)
 
@@ -44,27 +44,6 @@ _SALT_STATE = 0xC3A5C85C97CB3127
 _SALT_ARRIVAL = 0xB492B66FBE98F273
 _SALT_MEMBER = 0x6C62272E07BB0142
 _SALT_AVAIL = 0x27D4EB2F165667C5
-
-
-def _prf_bits(seed: int, salt: int, *parts: int) -> int:
-    """64-bit PRF of a seed, a salt, and any number of integer parts.
-
-    128-bit parts (addresses) are folded in as two 64-bit words so the
-    full address participates.
-    """
-    h = mix64((seed ^ salt) & _M64)
-    for part in parts:
-        part = int(part)
-        h = mix64(h ^ (part & _M64))
-        high = part >> 64
-        if high:
-            h = mix64(h ^ (high & _M64))
-    return h
-
-
-def _prf_unit(seed: int, salt: int, *parts: int) -> float:
-    """Uniform-in-[0, 1) PRF over the same key material."""
-    return _prf_bits(seed, salt, *parts) / _TWO64
 
 
 # -- vectorised PRF helpers (bit-identical to the scalar forms) -------------
@@ -223,10 +202,10 @@ class RateLimiter(FaultModel):
     prefixes, leaving the rest transparent.
 
     The budget/window admission rule itself lives in
-    :class:`repro.scanner.schedule.RatePolicy` (shared with the
-    campaign scheduler's per-prefix caps); this model keeps the network
-    side — hashing each probe to an arrival slot within its prefix's
-    window — and drops exactly the probes the policy does not admit.
+    :class:`repro.scanner.schedule.RatePolicy`; this model keeps the
+    network side — hashing each probe to an arrival slot within its
+    prefix's window — and drops exactly the probes the policy does not
+    admit.
     """
 
     seed: int
@@ -260,7 +239,7 @@ class RateLimiter(FaultModel):
         prefix_len: int = 64,
         limited_fraction: float = 1.0,
     ) -> "RateLimiter":
-        """Build the network-side enforcement of a scheduling policy."""
+        """Build the limiter that enforces ``policy``."""
         return cls(
             seed=seed,
             budget=policy.budget,

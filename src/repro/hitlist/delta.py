@@ -21,9 +21,8 @@ follows the population as DHCP pools shift and prefixes are
 reallocated.
 
 The plan composes with the existing pipeline unchanged: its target
-columns feed ``Campaign(targets=...)`` (or
-``CampaignService.submit(targets=...)``), and the scan result feeds
-back via :meth:`DeltaCampaign.ingest`.
+columns feed ``Campaign(targets=...)``, and the scan result feeds back
+via :meth:`DeltaCampaign.ingest`.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .store import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..campaign.pipeline import CampaignResult
-    from ..service.daemon import CampaignService
     from ..telemetry.spans import Telemetry
 
 
@@ -235,29 +233,6 @@ class DeltaCampaign:
         result = self.campaign(truth, plan).run()
         self.ingest(plan, result)
         return plan, result
-
-    def submit(
-        self,
-        service: "CampaignService",
-        tenant: str,
-        plan: DeltaPlan,
-        *,
-        name: str | None = None,
-        checkpoint_path: str | None = None,
-    ) -> str:
-        """Queue a plan on a multi-tenant service; returns the job id.
-
-        Ingest the job's result (``service.result(job_id)``) with
-        :meth:`ingest` once the scheduler finishes it.
-        """
-        return service.submit(
-            tenant,
-            {},
-            self.spec,
-            name=name or f"delta-epoch-{plan.epoch}",
-            checkpoint_path=checkpoint_path,
-            targets=plan.columns,
-        )
 
     def ingest(self, plan: DeltaPlan, result: "CampaignResult") -> dict:
         """Feed a scan's outcome back into the store at the plan's epoch.

@@ -28,6 +28,11 @@ can never collide, because equal-after-stripping would require the
 same byte prefix with different trailing-NUL counts — impossible at
 equal total width.)
 
+The splitmix64 finaliser lives here too, scalar (:func:`mix64`) and
+vectorised (``_mix64_np``), with the salted PRF helpers built on it:
+the scan order, loss, checkpoint digests, fault models and churn model
+all hash through this one definition.
+
 Everything here is shape-preserving and allocation-light on purpose:
 lookup tables are plain contiguous ndarrays with no Python object
 graphs, so a scan batch is a handful of vectorised passes over them.
@@ -48,11 +53,45 @@ _M64 = (1 << 64) - 1
 COLUMN_BITS = 64
 
 
+_TWO64 = float(1 << 64)
+
+
+# -- splitmix64 -------------------------------------------------------------
+def mix64(x: int) -> int:
+    """The splitmix64 finaliser: a cheap, well-mixed 64-bit hash."""
+    x &= _M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
 def _mix64_np(x: np.ndarray) -> np.ndarray:
     """Vectorised splitmix64 finaliser over uint64 (wrapping arithmetic)."""
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
+
+
+def _prf_bits(seed: int, salt: int, *parts: int) -> int:
+    """64-bit PRF of a seed, a salt, and any number of integer parts.
+
+    128-bit parts (addresses) are folded in as two 64-bit words so the
+    full address participates.  The fault models and the churn model
+    key every draw through this, each with its own salts.
+    """
+    h = mix64((seed ^ salt) & _M64)
+    for part in parts:
+        part = int(part)
+        h = mix64(h ^ (part & _M64))
+        high = part >> 64
+        if high:
+            h = mix64(h ^ (high & _M64))
+    return h
+
+
+def _prf_unit(seed: int, salt: int, *parts: int) -> float:
+    """Uniform-in-[0, 1) PRF over the same key material."""
+    return _prf_bits(seed, salt, *parts) / _TWO64
 
 
 _HASH_SALT = np.uint64(0x9E3779B97F4A7C15)

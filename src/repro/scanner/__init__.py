@@ -21,14 +21,7 @@ from .dealias import (
 from .engine import ScanConfig, Scanner
 from .execution import ScanExecution
 from .plane import ScanPlane, StaleWorldError
-from .schedule import (
-    CyclicPermutation,
-    RatePolicy,
-    TenantBudget,
-    batched,
-    interleave_by_network,
-    max_burst,
-)
+from .schedule import CyclicPermutation, RatePolicy
 from .probe import DEFAULT_PORT, Probe, ScanResult, ScanStats
 
 __all__ = [
@@ -39,7 +32,6 @@ __all__ = [
     "ScanExecution",
     "ScanPlane",
     "StaleWorldError",
-    "TenantBudget",
     "AliasedSummary",
     "DealiasReport",
     "Probe",
@@ -49,11 +41,8 @@ __all__ = [
     "ScanResult",
     "ScanStats",
     "Scanner",
-    "batched",
     "load_scan_checkpoint",
     "target_digest",
-    "interleave_by_network",
-    "max_burst",
     "as_level_inspection",
     "dealias",
     "detect_aliased_prefixes",

@@ -42,9 +42,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from ..ipv6.addrplane import mix64
 from ..telemetry.sinks import Sink, read_jsonl
 from .probe import ScanStats
-from .schedule import mix64
 
 _M64 = (1 << 64) - 1
 _DIGEST_SALT = 0x8B72E0F355B1D4C9

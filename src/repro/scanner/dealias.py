@@ -29,12 +29,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from ..ipv6.addrplane import mix64
 from ..ipv6.prefix import Prefix, network_mask
 from ..simnet.bgp import BgpTable
 from ..telemetry.spans import Telemetry, ensure
 from .engine import Scanner
 from .probe import DEFAULT_PORT
-from .schedule import mix64
 
 _M64 = (1 << 64) - 1
 

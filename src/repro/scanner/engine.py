@@ -65,6 +65,7 @@ from ..ipv6.addrplane import (
     dedupe_columns,
     fuse,
     is_columns,
+    mix64,
     pack,
     unpack,
 )
@@ -74,7 +75,7 @@ from ..telemetry.spans import Telemetry, ensure
 from .blacklist import Blacklist
 from .plane import ScanPlane, loss_prf_arr
 from .probe import DEFAULT_PORT, ScanResult, ScanStats
-from .schedule import CyclicPermutation, mix64
+from .schedule import CyclicPermutation
 
 try:  # posix-only; the peak-RSS gauge degrades to absent elsewhere
     import resource as _resource
@@ -589,11 +590,11 @@ class Scanner:
         ScanExecution` instead of running it to completion.
 
         The returned execution performs the scan one batch per
-        :meth:`~repro.scanner.execution.ScanExecution.step` — the
-        primitive the multi-tenant campaign scheduler interleaves.
-        With ``finalize`` (the default) the closing step books the
-        probes on this scanner and emits the summary telemetry;
-        :meth:`scan` passes False and does both itself.
+        :meth:`~repro.scanner.execution.ScanExecution.step` — what
+        :class:`~repro.campaign.pipeline.Campaign` steps.  With
+        ``finalize`` (the default) the closing step books the probes on
+        this scanner and emits the summary telemetry; :meth:`scan`
+        passes False and does both itself.
         """
         from .execution import ScanExecution
 

@@ -5,21 +5,18 @@ each :meth:`ScanExecution.step` executes exactly one probe batch on the
 array plane (:class:`~repro.scanner.plane.ScanPlane`) — a round-0 chunk
 or a retry chunk, with round transitions, pending-set computation, and
 checkpoint writes happening between batches.  :meth:`Scanner.scan`
-drives an execution to completion, so the single-campaign path *is*
-this code; the campaign service (:mod:`repro.service`) interleaves
-steps of many executions over one process instead.
+drives an execution to completion, and :class:`~repro.campaign.
+pipeline.Campaign` steps one per phase.
 
-Interleaving is safe because every probe verdict — loss, fault, ground
-truth — is a pure function of ``(key, address, attempt)``, never of
-sequential RNG state: stepping execution A between two steps of
-execution B cannot change what either scan observes.  That is the
-property that makes a multi-tenant schedule produce per-campaign
-results bit-identical to solo runs, and it is enforced by the service
-parity tests.
+Every probe verdict — loss, fault, ground truth — is a pure function
+of ``(key, address, attempt)``, never of sequential RNG state, so
+stepping execution A between two steps of execution B cannot change
+what either scan observes (``tests/test_campaign.py`` checks two
+campaigns stepped alternately against their solo runs).
 
-Preemption is stopping: a paused execution simply stops being stepped;
-its checkpoint file (when armed) already holds a resumable prefix, so
-a cold resume goes through the ordinary resume path and finishes
+Stopping is preemption: an execution that is no longer stepped leaves
+its checkpoint file (when armed) holding a resumable prefix, so a cold
+resume goes through the ordinary resume path and finishes
 bit-identical to an uninterrupted run.
 """
 
@@ -45,8 +42,7 @@ class ScanExecution:
 
     Built by :meth:`Scanner.start_execution`.  Call :meth:`step` until
     it returns False, then read :meth:`result`.  ``stats`` and ``hits``
-    are live: a scheduler can read ``stats.probes_sent`` between steps
-    to charge probe budgets at batch granularity.
+    are live between steps.
     """
 
     def __init__(

@@ -33,13 +33,14 @@ import numpy as np
 from ..ipv6.addrplane import (
     FrozenKeySet,
     PrefixMaskTable,
+    _mix64_np,
     hash_columns,
     pack,
     unpack,
 )
 from ..simnet.ground_truth import ICMPV6, GroundTruth
 from .blacklist import Blacklist
-from .schedule import CyclicPermutation, _mix64_np
+from .schedule import CyclicPermutation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.models import FaultModel

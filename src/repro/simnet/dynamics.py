@@ -49,6 +49,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from ..ipv6.addrplane import _prf_bits, _prf_unit
 from ..ipv6.prefix import Prefix, network_mask
 from ..telemetry.spans import Telemetry, ensure
 from .aliasing import AliasedRegion
@@ -56,22 +57,6 @@ from .ground_truth import BuiltNetwork, NetworkSpec, SimInternet, build_network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
-
-_M64 = (1 << 64) - 1
-_TWO64 = float(1 << 64)
-
-
-def mix64(x: int) -> int:
-    """The splitmix64 finaliser (same function as the scan stack's).
-
-    Defined locally rather than imported from
-    :mod:`repro.scanner.schedule` — the scanner imports this package's
-    BGP table, so importing back would be circular.
-    """
-    x &= _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
 
 # Domain-separation salts: each churn question gets its own constant so
 # e.g. "does this host leave" and "does this host rotate" are
@@ -86,23 +71,6 @@ _SALT_REALLOC = 0xC4CEB9FE1A85EC53
 _SALT_REBUILD = 0x2545F4914F6CDD1D
 _SALT_ALIAS = 0x9D8A7B6C5D4E3F21
 _SALT_PORT = 0x6C62272E07BB0142
-
-
-def _prf_bits(seed: int, salt: int, *parts: int) -> int:
-    """64-bit PRF of a seed, a salt, and integer parts (128-bit safe)."""
-    h = mix64((seed ^ salt) & _M64)
-    for part in parts:
-        part = int(part)
-        h = mix64(h ^ (part & _M64))
-        high = part >> 64
-        if high:
-            h = mix64(h ^ (high & _M64))
-    return h
-
-
-def _prf_unit(seed: int, salt: int, *parts: int) -> float:
-    """Uniform-in-[0, 1) PRF over the same key material."""
-    return _prf_bits(seed, salt, *parts) / _TWO64
 
 
 #: Per-allocation-policy turnover multipliers applied to the base

@@ -25,9 +25,11 @@ from repro.faults import (
 from repro.ipv6.addrplane import (
     FrozenKeySet,
     PrefixMaskTable,
+    _mix64_np,
     fuse_ints,
     hash_columns,
     join_int,
+    mix64,
     pack,
     pack_addrs,
     split_int,
@@ -159,6 +161,14 @@ class TestPrefixMaskTable:
     def test_from_networks_sorted_shortest_first(self):
         table = PrefixMaskTable.from_networks({64: [0], 32: [0], 128: [1]})
         assert [entry[0] for entry in table.entries] == [32, 64, 128]
+
+
+class TestMix64Parity:
+    def test_scalar_matches_vector(self):
+        rng = random.Random(64)
+        words = [0, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(256)]
+        vector = _mix64_np(np.array(words, dtype=np.uint64)).tolist()
+        assert [mix64(w) for w in words] == vector
 
 
 class TestLossPrfParity:

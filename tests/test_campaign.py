@@ -10,6 +10,7 @@ import pytest
 from repro.analysis import experiments as ex
 from repro.campaign import Campaign, CampaignSpec
 from repro.campaign.generate import generate_per_prefix
+from repro.predictive import PredictiveAllocator, policy_labels
 from repro.scanner.dealias import DealiasReport, dealias
 from repro.scanner.engine import ScanConfig, Scanner
 from repro.telemetry.sinks import MemorySink
@@ -102,6 +103,38 @@ class TestCampaignParity:
         assert result.raw_hits == mono.raw_hits
         assert result.scan.stats == mono.scan.stats
         assert result.clean_hits == mono.clean_hits
+
+    def test_alternately_stepped_campaigns_match_solo_runs(self):
+        # Every probe verdict is a pure function of (key, address,
+        # attempt), so stepping a classic and a phased campaign over
+        # one world batch by batch, alternately, changes neither.
+        context = _context()
+        spec = _spec()
+
+        def phased():
+            return _campaign(
+                context, spec,
+                allocation=PredictiveAllocator(
+                    phases=3, policy_labels=policy_labels(context.internet)
+                ),
+            )
+
+        solos = [_campaign(context, spec).run(), phased().run()]
+        campaigns = [_campaign(context, spec), phased()]
+        for campaign in campaigns:
+            campaign.begin()
+        steps = [0, 0]
+        live = [0, 1]
+        while live:
+            live = [i for i in live if campaigns[i].step()]
+            for i in live:
+                steps[i] += 1
+        assert min(steps) > 1
+        for campaign, solo in zip(campaigns, solos):
+            result = campaign.finish()
+            assert result.raw_hits == solo.raw_hits
+            assert result.scan.stats == solo.scan.stats
+            assert campaign.probes_sent == result.probes_sent
 
     def test_dealias_off_passes_hits_through(self):
         context = _context()

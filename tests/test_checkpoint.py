@@ -385,8 +385,8 @@ class TestCrossFeatureMatrix:
     """Checkpoint/resume × retries × rate-limit policy × workers.
 
     Every combination must resume bit-identical to an uninterrupted
-    run — including when a scheduling policy (the shared RatePolicy
-    core, enforced network-side by the RateLimiter overlay) is active.
+    run — including when a rate policy (RatePolicy, enforced
+    network-side by the RateLimiter overlay) is active.
     """
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -427,43 +427,40 @@ class TestCrossFeatureMatrix:
         assert resumed.stats == baseline.stats
 
     @pytest.mark.parametrize("retries", [0, 1])
-    def test_service_cold_resume_with_rate_policy(self, tmp_path, retries):
-        """The full stack: rate-limited tenant, budget preempt, resume."""
+    def test_campaign_cold_resume_with_rate_policy(self, tmp_path, retries):
+        """The full stack: rate-limited campaign, interrupt, cold resume."""
         from repro.analysis import experiments as ex
         from repro.campaign import Campaign, CampaignSpec
         from repro.faults import FaultyGroundTruth, RateLimiter
         from repro.scanner.schedule import RatePolicy
-        from repro.service import CampaignService, TenantPolicy
 
         context = ex.standard_context(0.1)
-        policy = RatePolicy(budget=64, window=256)
         spec = CampaignSpec(
             budget=1_000,
             scan_config=ScanConfig(batch_size=128, retries=retries),
         )
         overlay = FaultyGroundTruth(
             context.internet.truth,
-            RateLimiter.from_policy(policy, seed=0, prefix_len=64),
+            RateLimiter.from_policy(
+                RatePolicy(budget=64, window=256), seed=0, prefix_len=64
+            ),
         )
-        solo = Campaign(
-            overlay, context.internet.bgp, context.groups, spec
-        ).run()
 
-        ckpt = str(tmp_path / "svc.jsonl")
-        first = CampaignService(context.internet.truth, context.internet.bgp)
-        first.register_tenant(
-            "t", TenantPolicy(probe_budget=500, prefix_rate=policy)
-        )
-        j1 = first.submit("t", context.groups, spec, checkpoint_path=ckpt)
-        first.run_until_idle()
-        assert first.jobs[j1].state == "budget_exhausted"
+        def campaign(**kwargs):
+            return Campaign(
+                overlay, context.internet.bgp, context.groups, spec, **kwargs
+            )
 
-        second = CampaignService(context.internet.truth, context.internet.bgp)
-        second.register_tenant("t", TenantPolicy(prefix_rate=policy))
-        j2 = second.submit(
-            "t", context.groups, spec, checkpoint_path=ckpt, resume=True
-        )
-        second.run_until_idle()
-        result = second.result(j2)
+        solo = campaign().run()
+
+        ckpt = str(tmp_path / "campaign.jsonl")
+        first = campaign(checkpoint_path=ckpt)
+        first.begin()
+        while first.probes_sent < 500:
+            assert first.step()
+        partial = first.interrupt()
+        assert partial.scan.stats.probes_sent < solo.scan.stats.probes_sent
+
+        result = campaign(checkpoint_path=ckpt).run(resume=True)
         assert result.raw_hits == solo.raw_hits
         assert result.scan.stats == solo.scan.stats

@@ -378,61 +378,6 @@ class TestScanRetryResumeFlags:
         ]) == 1
 
 
-class TestServiceCommand:
-    def test_runs_multi_tenant(self, capsys):
-        assert main([
-            "service", "--tenants", "2", "--budget", "300", "--scale", "0.05",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "tenant-1" in out and "tenant-2" in out
-        assert "finished" in out
-
-    def test_json_mode(self, capsys):
-        assert main([
-            "service", "--tenants", "2", "--budget", "300",
-            "--scale", "0.05", "--json",
-        ]) == 0
-        out = capsys.readouterr().out.strip()
-        payload = json.loads(out.splitlines()[-1])
-        assert payload["command"] == "service"
-        assert payload["tenants"] == 2
-        assert len(payload["jobs"]) == 2
-        assert all(j["state"] == "finished" for j in payload["jobs"])
-        # both tenants scanned the same world: identical results
-        assert payload["jobs"][0]["hits"] == payload["jobs"][1]["hits"]
-        # --json suppresses the human lines entirely
-        assert len(out.splitlines()) == 1
-
-    def test_quiet_mode(self, capsys):
-        assert main([
-            "service", "--tenants", "1", "--budget", "300",
-            "--scale", "0.05", "--quiet",
-        ]) == 0
-        assert capsys.readouterr().out == ""
-
-    def test_probe_budget_exhaustion(self, capsys):
-        assert main([
-            "service", "--tenants", "1", "--budget", "300",
-            "--probe-budget", "64", "--scale", "0.05", "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert payload["jobs"][0]["state"] == "budget_exhausted"
-
-    def test_invalid_tenant_count(self, capsys):
-        assert main(["service", "--tenants", "0", "--scale", "0.05"]) == 1
-
-    def test_telemetry_flag(self, tmp_path, capsys):
-        run = tmp_path / "service.jsonl"
-        assert main([
-            "service", "--tenants", "1", "--budget", "300",
-            "--scale", "0.05", "--quiet", "--telemetry", str(run),
-        ]) == 0
-        lines = [json.loads(l) for l in run.read_text().splitlines()]
-        kinds = {e.get("event") for e in lines}
-        assert "manifest" in kinds
-        assert "scan_summary" in kinds
-
-
 class TestLongitudinalScan:
     """scan --epochs/--hitlist and the hitlist subcommand."""
 
@@ -500,13 +445,3 @@ class TestLongitudinalScan:
     def test_hitlist_missing_store_fails(self, tmp_path, capsys):
         assert main(["hitlist", str(tmp_path / "nope.jsonl")]) == 1
         assert "no hitlist store" in capsys.readouterr().err
-
-    def test_service_epochs(self, capsys):
-        assert main([
-            "service", "--tenants", "1", "--budget", "300",
-            "--scale", "0.05", "--epochs", "2", "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert payload["epochs"] == 2
-        assert [j["epoch"] for j in payload["jobs"]] == [0, 1]
-        assert all(j["state"] == "finished" for j in payload["jobs"])

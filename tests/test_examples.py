@@ -50,13 +50,6 @@ class TestExamples:
         assert "classic pipeline" in out
         assert "adaptive pipeline" in out
 
-    def test_campaign_service(self):
-        out = _run("campaign_service.py", "0.05", "800")
-        assert "three tenants, three policies" in out
-        assert "scheduler idle after" in out
-        assert "resumed result identical to solo run: True" in out
-        assert "resumed campaign bit-identical to uninterrupted: True" in out
-
     def test_longitudinal_scan(self):
         out = _run("longitudinal_scan.py", "0.05", "400", "2")
         assert "delta campaigns over a churning world" in out
@@ -72,7 +65,6 @@ class TestExamples:
             "compare_tgas.py",
             "alias_detection.py",
             "adaptive_scan.py",
-            "campaign_service.py",
             "longitudinal_scan.py",
         } <= scripts
 

@@ -29,9 +29,7 @@ from repro.ipv6.nybble import FULL_MASK, NYBBLE_COUNT
 from repro.ipv6.prefix import Prefix
 from repro.ipv6.range_ import NybbleRange, expand_range_arr, expand_ranges_arr
 from repro.scanner.engine import ScanConfig, Scanner
-from repro.scanner.schedule import interleave_by_network
 from repro.simnet.aliasing import AliasedRegionSet
-from repro.simnet.bgp import BgpTable, group_by_routed_prefix
 from repro.simnet.ground_truth import GroundTruth
 from repro.telemetry import Telemetry
 from repro.telemetry.sinks import MemorySink
@@ -327,21 +325,3 @@ class TestNoReboxing:
         truth = _truth(hosts=targets[::4])
         scan = Scanner(truth).scan(pack(targets))
         assert len(scan.hits) == len(set(targets[::4]))
-
-
-class TestInterleaveColumns:
-    def test_column_input_matches_scalar(self):
-        internet_targets = _targets()
-        groups = group_by_routed_prefix(internet_targets, BgpTable())
-        assert groups is not None  # bgp table accepts empty routing
-        bgp = BgpTable()
-        scalar = interleave_by_network(internet_targets, bgp, rng_seed=9)
-        column = interleave_by_network(pack(internet_targets), bgp, rng_seed=9)
-        assert column == scalar
-
-    def test_column_dedupe_preserves_first_seen(self):
-        dupes = [addr("2001:db8::2"), addr("2001:db8::1"), addr("2001:db8::2")]
-        bgp = BgpTable()
-        assert interleave_by_network(pack(dupes), bgp, rng_seed=0) == (
-            interleave_by_network(dupes, bgp, rng_seed=0)
-        )

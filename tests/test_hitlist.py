@@ -138,7 +138,7 @@ class TestLivingHitlistBelief:
         store.observe(3, [1], hits=set())
         with pytest.raises(ValueError, match="epoch-ordered"):
             store.observe(2, [2], hits=set())
-        # Same-epoch observes (multiple tenants per epoch) are fine.
+        # Same-epoch observes (multiple campaigns per epoch) are fine.
         store.observe(3, [2], hits={2})
 
     def test_freshness_and_staleness_math(self):

@@ -4,8 +4,8 @@ Covers the feature extractor over the packed column plane, the binned
 Beta-posterior hit-rate model (idempotence is what makes resume safe),
 deterministic integer apportionment, and the phased campaign path:
 allocation determinism across worker counts, checkpoint/resume parity
-including the allocator's model state, AllocationPolicy-off parity,
-and tenant-ledger bounding through the service.
+including the allocator's model state, and AllocationPolicy-off
+parity.
 """
 
 import os
@@ -31,7 +31,6 @@ from repro.predictive import (
 )
 from repro.scanner.dealias import dealias
 from repro.scanner.engine import ScanConfig, Scanner
-from repro.service import CampaignService, TenantPolicy
 
 SCALE = 0.05
 BUDGET = 300
@@ -393,36 +392,3 @@ class TestPhasedResume:
         )
         with pytest.raises(ValueError, match="does not match"):
             campaign.run(resume=True)
-
-
-class TestServiceIntegration:
-    def test_service_run_matches_solo(self):
-        context = _context()
-        service = CampaignService(context.internet.truth, context.internet.bgp)
-        service.register_tenant("a")
-        service.register_tenant("b")
-        job = service.submit(
-            "a", context.groups, _spec(), allocation=_allocator(context)
-        )
-        service.submit("b", context.groups, _spec())  # interleaved classic
-        service.run_until_idle()
-        solo = _campaign(
-            _context(), _spec(), allocation=_allocator(context)
-        ).run()
-        result = service.result(job)
-        assert result.raw_hits == solo.raw_hits
-        assert result.scan.stats == solo.scan.stats
-        assert service.jobs[job].charged == result.probes_sent
-
-    def test_tenant_ledger_bounds_phase_planning(self):
-        context = _context()
-        service = CampaignService(context.internet.truth, context.internet.bgp)
-        service.register_tenant("tight", TenantPolicy(probe_budget=500))
-        job = service.submit(
-            "tight", context.groups, _spec(), allocation=_allocator(context)
-        )
-        service.run_until_idle()
-        record = service.jobs[job]
-        assert record.state == "budget_exhausted"
-        # Enforcement is batch-granular: overshoot is at most one batch.
-        assert record.campaign.probes_sent <= 500 + 64

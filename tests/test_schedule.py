@@ -1,86 +1,9 @@
-"""Tests for scan scheduling (network-courteous target ordering)."""
+"""Tests for scan scheduling: density-ordered targets, the cyclic scan
+order, and the probe-rate policy."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro.ipv6.prefix import Prefix
-from repro.scanner.schedule import batched, interleave_by_network, max_burst
-from repro.simnet.bgp import BgpTable
-
-from conftest import addr
-
-
-def _bgp():
-    table = BgpTable()
-    table.add_route(Prefix.parse("2001:db8::/32"), 1)
-    table.add_route(Prefix.parse("2600::/32"), 2)
-    table.add_route(Prefix.parse("2a00::/32"), 3)
-    return table
-
-
-def _targets(per_network=30):
-    out = []
-    for base in ("2001:db8::", "2600::", "2a00::"):
-        out += [addr(f"{base}{i:x}") for i in range(1, per_network + 1)]
-    return out
-
-
-class TestInterleave:
-    def test_preserves_target_set(self):
-        targets = _targets()
-        ordered = interleave_by_network(targets, _bgp())
-        assert sorted(ordered) == sorted(set(targets))
-
-    def test_burst_bound(self):
-        ordered = interleave_by_network(_targets(), _bgp())
-        # with three equal live groups, any 9-window touches one prefix
-        # at most ceil(9/3) = 3 times
-        assert max_burst(ordered, _bgp(), window=9) <= 3
-
-    def test_beats_sorted_order(self):
-        targets = sorted(_targets())
-        bgp = _bgp()
-        naive = max_burst(targets, bgp, window=9)
-        courteous = max_burst(interleave_by_network(targets, bgp), bgp, window=9)
-        assert courteous < naive
-
-    def test_unrouted_targets_kept(self):
-        targets = [addr("9999::1"), addr("2001:db8::1")]
-        ordered = interleave_by_network(targets, _bgp())
-        assert set(ordered) == set(targets)
-
-    def test_deterministic(self):
-        targets = _targets()
-        a = interleave_by_network(targets, _bgp(), rng_seed=4)
-        b = interleave_by_network(targets, _bgp(), rng_seed=4)
-        assert a == b
-
-    def test_deduplicates(self):
-        targets = [addr("2001:db8::1")] * 5
-        assert interleave_by_network(targets, _bgp()) == [addr("2001:db8::1")]
-
-
-class TestMaxBurst:
-    def test_counts_worst_window(self):
-        bgp = _bgp()
-        ordered = [addr(f"2001:db8::{i:x}") for i in range(1, 6)]
-        assert max_burst(ordered, bgp, window=3) == 3
-        assert max_burst(ordered, bgp, window=10) == 5
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            max_burst([], _bgp(), window=0)
-
-
-class TestBatched:
-    def test_batches(self):
-        batches = list(batched(list(range(10)), 4))
-        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            list(batched([1], 0))
 
 
 class TestDensityOrderedTargets:
@@ -129,9 +52,13 @@ class TestCyclicPermutation:
 
         for n in (1, 2, 3, 65, 1000):
             perm = CyclicPermutation(n, key=99)
-            assert perm.permute_range(0, n) == [perm(i) for i in range(n)]
+            assert perm.permute_range_arr(0, n).tolist() == [
+                perm(i) for i in range(n)
+            ]
             mid = n // 2
-            assert perm.permute_range(mid, n) == [perm(i) for i in range(mid, n)]
+            assert perm.permute_range_arr(mid, n).tolist() == [
+                perm(i) for i in range(mid, n)
+            ]
 
     def test_out_of_range_rejected(self):
         from repro.scanner.schedule import CyclicPermutation
@@ -144,28 +71,7 @@ class TestCyclicPermutation:
         from repro.scanner.schedule import CyclicPermutation
 
         perm = CyclicPermutation(0, key=0)
-        assert perm.permute_range(0, 0) == []
-
-
-class TestInterleaveDeterminism:
-    def test_dedupe_preserves_first_seen_order(self):
-        # Regression: dedupe used to go through a set, whose iteration
-        # order depends on interpreter internals rather than the input.
-        # With dict.fromkeys the pre-shuffle order is first-seen order,
-        # so reversing a duplicate-free input must reverse the grouping
-        # input deterministically: same seed, same groups, same output.
-        bgp = _bgp()
-        targets = _targets()
-        doubled = targets + list(reversed(targets))
-        assert interleave_by_network(doubled, bgp, rng_seed=5) == (
-            interleave_by_network(targets, bgp, rng_seed=5)
-        )
-
-    def test_repeated_calls_identical(self):
-        bgp = _bgp()
-        targets = _targets()
-        runs = {tuple(interleave_by_network(targets, bgp, rng_seed=9)) for _ in range(5)}
-        assert len(runs) == 1
+        assert perm.permute_range_arr(0, 0).tolist() == []
 
 
 class TestCyclicPermutationProperties:
@@ -192,7 +98,9 @@ class TestCyclicPermutationProperties:
         from repro.scanner.schedule import CyclicPermutation
 
         perm = CyclicPermutation(n, key=key)
-        assert perm.permute_range(0, n) == [perm(i) for i in range(n)]
+        assert perm.permute_range_arr(0, n).tolist() == [
+            perm(i) for i in range(n)
+        ]
 
 
 class TestRatePolicy:
@@ -227,34 +135,3 @@ class TestRatePolicy:
         policy = RatePolicy(budget=16, window=64)
         admitted = sum(policy.admits(s) for s in range(64 * 10))
         assert admitted == 16 * 10
-
-
-class TestTenantBudget:
-    def test_unlimited_by_default(self):
-        from repro.scanner.schedule import TenantBudget
-
-        budget = TenantBudget()
-        assert not budget.exhausted
-        assert budget.remaining() == float("inf")
-        budget.charge(10**9)
-        assert not budget.exhausted
-
-    def test_charge_and_exhaust(self):
-        from repro.scanner.schedule import TenantBudget
-
-        budget = TenantBudget(limit=100)
-        budget.charge(60)
-        assert budget.remaining() == 40
-        assert not budget.exhausted
-        budget.charge(60)
-        assert budget.spent == 120
-        assert budget.remaining() == 0
-        assert budget.exhausted
-
-    def test_validation(self):
-        from repro.scanner.schedule import TenantBudget
-
-        with pytest.raises(ValueError):
-            TenantBudget(limit=-1)
-        with pytest.raises(ValueError):
-            TenantBudget().charge(-5)
